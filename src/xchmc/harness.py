@@ -426,25 +426,23 @@ def write_chain_csv(record: ChainRecord, path, include_momenta: bool = False) ->
     """Write a chain to CSV at full double precision (values round-trip exactly).
 
     Row 0 is the starting state and leaves the per-transition fields empty;
-    row n >= 1 carries the slot and jittered dt of transition n.
+    row n >= 1 carries the slot and jittered dt of transition n.  The bytes are
+    those of ``csv.writer`` (``\\r\\n`` line ends; no field needs quoting).
     """
     d = record.positions.shape[1]
     header = ["transition", "slot", "dt"] + [f"x{i}" for i in range(d)]
+    values = record.positions
     if include_momenta:
         header += [f"y{i}" for i in range(d)]
+        values = np.hstack([record.positions, record.momenta])
+    rows = values.tolist()
+    lines = [",".join(header), "0,,," + ",".join(map(repr, rows[0]))]
+    lines += [f"{n},{slot},{dt!r}," + ",".join(map(repr, row))
+              for n, (slot, dt, row) in enumerate(
+                  zip(record.slots.tolist(), record.dt_used.tolist(), rows[1:]), start=1)]
+    lines.append("")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for n in range(record.positions.shape[0]):
-            row = [str(n)]
-            if n == 0:
-                row += ["", ""]
-            else:
-                row += [str(record.slots[n - 1]), repr(float(record.dt_used[n - 1]))]
-            row += [repr(float(v)) for v in record.positions[n]]
-            if include_momenta:
-                row += [repr(float(v)) for v in record.momenta[n]]
-            writer.writerow(row)
+        fh.write("\r\n".join(lines))
 
 
 def read_chain_csv(path) -> dict:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from xchmc.phase import PhaseState, TargetModel, flip
+from xchmc.phase import PhaseState, TargetModel, _unchecked, flip
 
 __all__ = [
     "LegSpec",
@@ -60,36 +60,48 @@ def verlet_leg(model: TargetModel, spec: LegSpec, z: PhaseState) -> tuple[PhaseS
     composition: it is volume preserving and reversible up to a momentum flip.
     A complete leg always costs exactly ``steps + 1`` gradient evaluations.
     Divergence raises :class:`DivergedLeg` with the partial evaluation count.
+
+    ``z`` is a checked state; only its dimension is compared with the target.
+    Every gradient and the end state are tested for finiteness, so the end
+    state is built without re-checking it.
     """
-    if z.dim != model.dim:
+    if z.x.shape[0] != model.dim:
         raise ValueError(f"state dimension {z.dim} does not match target dimension {model.dim}")
     dt = spec.dt
-    mass = model.mass
+    half_dt = 0.5 * dt
+    inv_mass = model.mass._inv_mul
+    gradient = model.gradient
+    # all_true(isfinite(a), None) is a.all() over every axis, without the
+    # Python wrapper of ndarray.all.
+    isfinite = np.isfinite
+    all_true = np.logical_and.reduce
     evals = 0
     x = z.x
     y = z.y
     with np.errstate(over="ignore", invalid="ignore"):
-        g = np.asarray(model.gradient(x), dtype=float)
+        g = np.asarray(gradient(x), dtype=float)
         evals += 1
-        if not np.isfinite(g).all():
+        if not all_true(isfinite(g), None):
             raise DivergedLeg(0, evals)
-        y = y - (0.5 * dt) * g
+        y = y - half_dt * g
         for step in range(1, spec.steps):
-            x = x + dt * mass.apply_inverse(y)
-            g = np.asarray(model.gradient(x), dtype=float)
+            x = x + dt * inv_mass(y)
+            g = np.asarray(gradient(x), dtype=float)
             evals += 1
-            if not np.isfinite(g).all():
+            if not all_true(isfinite(g), None):
                 raise DivergedLeg(step, evals)
             y = y - dt * g
-        x = x + dt * mass.apply_inverse(y)
-        g = np.asarray(model.gradient(x), dtype=float)
+        x = x + dt * inv_mass(y)
+        g = np.asarray(gradient(x), dtype=float)
         evals += 1
-        if not np.isfinite(g).all():
+        if not all_true(isfinite(g), None):
             raise DivergedLeg(spec.steps, evals)
-        y = y - (0.5 * dt) * g
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        y = y - half_dt * g
+    if not (all_true(isfinite(x), None) and all_true(isfinite(y), None)):
         raise DivergedLeg(spec.steps, evals)
-    return PhaseState(x, y), evals
+    if y.shape != z.y.shape:
+        raise ValueError(f"gradient values do not match the state shape {z.y.shape}")
+    return _unchecked(PhaseState, x=x, y=y), evals
 
 
 def jitter_dt(base_dt: float, fraction: float, rng) -> float:

@@ -48,9 +48,25 @@ class PhaseState:
         return self.x.shape[0]
 
 
+def _unchecked(cls, **fields):
+    """Instance of the frozen dataclass ``cls`` from fields known to be valid.
+
+    Skips ``__post_init__``.  The kernel builds its own states and jittered legs
+    with this from arrays and values it has already checked; every caller
+    outside the kernel goes through the checking constructor.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def flip(z: PhaseState) -> PhaseState:
     """Momentum flip (x, y) -> (x, -y): an involution that preserves the energy."""
-    return PhaseState(z.x, -z.y)
+    return _unchecked(PhaseState, x=z.x, y=-z.y)
+
+
+def _same(v: np.ndarray) -> np.ndarray:
+    return v
 
 
 class MassMatrix:
@@ -60,16 +76,17 @@ class MassMatrix:
     ``M^-1 v`` (drifts and kinetic energy) and ``M^1/2 v`` (drawing momenta
     distributed as N(0, M) from standard normals).  The identity form is
     dimension-free; diagonal and dense forms fix the dimension.
+
+    The public products check their argument.  The kernel calls the unchecked
+    ``_mul``/``_inv_mul``/``_sqrt_mul``/``_kinetic`` on float vectors it has
+    already validated against the target dimension.
     """
 
     def __init__(self, diag=None, dense=None):
         if diag is not None and dense is not None:
             raise ValueError("give at most one of diag and dense")
         self._diag = None
-        self._sqrt_diag = None
         self._dense = None
-        self._chol = None
-        self._inv = None
         if dense is not None:
             m = np.asarray(dense, dtype=float)
             if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
@@ -86,8 +103,10 @@ class MassMatrix:
                 raise ValueError("dense mass matrix is not positive definite") from exc
             self.kind = "dense"
             self._dense = m
-            self._chol = chol
-            self._inv = np.linalg.inv(m)
+            # M v, M^-1 v and M^1/2 v (triangular factor) as matrix products.
+            self._mul = m.__matmul__
+            self._inv_mul = np.linalg.inv(m).__matmul__
+            self._sqrt_mul = chol.__matmul__
         elif diag is not None:
             d = np.atleast_1d(np.asarray(diag, dtype=float))
             if d.ndim != 1 or d.size == 0:
@@ -96,9 +115,13 @@ class MassMatrix:
                 raise ValueError("diagonal mass entries must be positive and finite")
             self.kind = "diagonal"
             self._diag = d
-            self._sqrt_diag = np.sqrt(d)
+            # d * v, v / d and sqrt(d) * v.
+            self._mul = d.__mul__
+            self._inv_mul = d.__rtruediv__
+            self._sqrt_mul = np.sqrt(d).__mul__
         else:
             self.kind = "identity"
+            self._mul = self._inv_mul = self._sqrt_mul = _same
 
     @classmethod
     def identity(cls) -> "MassMatrix":
@@ -129,35 +152,22 @@ class MassMatrix:
 
     def apply(self, v) -> np.ndarray:
         """Return M v."""
-        v = self._checked(v)
-        if self.kind == "diagonal":
-            return self._diag * v
-        if self.kind == "dense":
-            return self._dense @ v
-        return v
+        return self._mul(self._checked(v))
 
     def apply_inverse(self, v) -> np.ndarray:
         """Return M^-1 v."""
-        v = self._checked(v)
-        if self.kind == "diagonal":
-            return v / self._diag
-        if self.kind == "dense":
-            return self._inv @ v
-        return v
+        return self._inv_mul(self._checked(v))
 
     def sqrt_apply(self, v) -> np.ndarray:
         """Return M^1/2 v (triangular factor for the dense form)."""
-        v = self._checked(v)
-        if self.kind == "diagonal":
-            return self._sqrt_diag * v
-        if self.kind == "dense":
-            return self._chol @ v
-        return v
+        return self._sqrt_mul(self._checked(v))
 
     def kinetic(self, y) -> float:
         """Kinetic energy 0.5 * y' M^-1 y."""
-        y = self._checked(y)
-        return 0.5 * float(y @ self.apply_inverse(y))
+        return self._kinetic(self._checked(y))
+
+    def _kinetic(self, y: np.ndarray) -> float:
+        return 0.5 * float(y @ self._inv_mul(y))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MassMatrix(kind={self.kind!r}, dim={self.dim})"
@@ -189,19 +199,15 @@ class TargetModel:
             )
 
 
-def _check_dim(model: TargetModel, z: PhaseState) -> None:
-    if z.dim != model.dim:
-        raise ValueError(f"state dimension {z.dim} does not match target dimension {model.dim}")
-
-
 def hamiltonian(model: TargetModel, z: PhaseState) -> float:
     """Total energy 0.5 y' M^-1 y + V(x); +inf when either term is not finite."""
-    _check_dim(model, z)
+    if z.x.shape[0] != model.dim:
+        raise ValueError(f"state dimension {z.dim} does not match target dimension {model.dim}")
     with np.errstate(over="ignore", invalid="ignore"):
         v = float(model.potential(z.x))
         if not math.isfinite(v):
             return math.inf
-        total = model.mass.kinetic(z.y) + v
+        total = model.mass._kinetic(z.y) + v
     return total if math.isfinite(total) else math.inf
 
 
@@ -220,7 +226,7 @@ def _gaussian(dims: int, params: dict) -> tuple[Callable, Callable]:
         raise ValueError("gaussian variances must be positive and finite")
 
     def potential(x):
-        return 0.5 * float(np.sum(x * x / var))
+        return 0.5 * float((x * x / var).sum())
 
     def gradient(x):
         return x / var
@@ -231,7 +237,7 @@ def _gaussian(dims: int, params: dict) -> tuple[Callable, Callable]:
 def _double_well(dims: int, params: dict) -> tuple[Callable, Callable]:
     def potential(x):
         q = x * x - 1.0
-        return float(np.sum(q * q))
+        return float((q * q).sum())
 
     def gradient(x):
         return 4.0 * x * (x * x - 1.0)
@@ -254,7 +260,7 @@ def _banana(dims: int, params: dict) -> tuple[Callable, Callable]:
     def potential(x):
         bend = x[1] + b * (x[0] * x[0] - s2)
         rest = x[2:]
-        return float(0.5 * x[0] * x[0] / s2 + 0.5 * bend * bend + 0.5 * np.sum(rest * rest))
+        return float(0.5 * x[0] * x[0] / s2 + 0.5 * bend * bend + 0.5 * (rest * rest).sum())
 
     def gradient(x):
         g = np.array(x, dtype=float)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from xchmc.integrator import DivergedLeg, LegSpec, jitter_dt, verlet_leg
-from xchmc.phase import PhaseState, TargetModel, flip, log_rho
+from xchmc.phase import PhaseState, TargetModel, _unchecked, flip, log_rho
 from xchmc.rng import chain_rng
 
 __all__ = [
@@ -118,21 +118,37 @@ def slot_distribution(log_ratios) -> SlotDistribution:
     return SlotDistribution(sigma=sigma, p=p, log_sigma=log_sigma)
 
 
+def _candidate_orbit(model: TargetModel, leg: LegSpec, z: PhaseState, count: int,
+                     log_ref: float):
+    """Integrate the candidate orbit I z, I^2 z, ... lazily, one leg per item.
+
+    Yields ``(state, log_ratio, force_evals)`` for candidates 1..count, where
+    ``log_ratio`` is log rho(I^k z) - ``log_ref``.  When ``log_ref`` is -inf
+    (a start of density zero) the ratio is +inf for a candidate of positive
+    density and -inf otherwise.  A diverged leg yields ``(None, -inf, its
+    partial force evaluations)`` and ends the orbit: the later candidates are
+    not integrated and have density zero.
+    """
+    current = z
+    for _ in range(count):
+        try:
+            current, evals = verlet_leg(model, leg, current)
+        except DivergedLeg as err:
+            yield None, -math.inf, err.force_evals
+            return
+        log_k = log_rho(model, current)
+        if log_ref == -math.inf:
+            yield current, (math.inf if log_k > -math.inf else -math.inf), evals
+        else:
+            yield current, log_k - log_ref, evals
+
+
 def _forward_log_ratios(model: TargetModel, leg: LegSpec, z: PhaseState, count: int) -> np.ndarray:
     """log rho(I^j z) - log rho(z) for j = 1..count; -inf from the first diverged leg on."""
-    ref = log_rho(model, z)
     out = np.full(count, -math.inf)
-    current = z
-    for j in range(count):
-        try:
-            current, _ = verlet_leg(model, leg, current)
-        except DivergedLeg:
-            break
-        lj = log_rho(model, current)
-        if ref == -math.inf:
-            out[j] = math.inf if lj > -math.inf else -math.inf
-        else:
-            out[j] = lj - ref
+    for j, (_, log_ratio, _) in enumerate(_candidate_orbit(model, leg, z, count,
+                                                           log_rho(model, z))):
+        out[j] = log_ratio
     return out
 
 
@@ -157,16 +173,23 @@ def refresh_momentum(model: TargetModel, z: PhaseState, psi: float, rng) -> Phas
     """
     if not (0.0 < psi <= _HALF_PI):
         raise ValueError("psi must lie in (0, pi/2]")
-    if z.dim != model.dim:
+    if z.x.shape[0] != model.dim:
         raise ValueError(f"state dimension {z.dim} does not match target dimension {model.dim}")
-    noise = model.mass.sqrt_apply(np.asarray(rng.standard_normal(z.dim), dtype=float))
+    noise = model.mass._sqrt_mul(np.asarray(rng.standard_normal(z.x.shape[0]), dtype=float))
     c, s = _cos_sin(psi)
-    return PhaseState(z.x, c * z.y + s * noise)
+    return _unchecked(PhaseState, x=z.x, y=c * z.y + s * noise)
 
 
 @dataclass(frozen=True)
 class TransitionOutcome:
-    """Result of one application of the delayed-rejection dynamics map."""
+    """Result of one application of the delayed-rejection dynamics map.
+
+    ``candidates_computed`` is ``slot`` on acceptance and ``extra_chances + 1``
+    on a flip.  After a diverged leg it also counts the later candidates, as
+    density-zero candidates, although no leg was integrated for them, so it
+    can exceed the number of legs run.  ``force_evals`` is always the exact
+    number of gradient evaluations.
+    """
 
     next_state: PhaseState
     slot: int                 # 1..extra_chances+1 = accepted candidate, extra_chances+2 = flip
@@ -188,34 +211,22 @@ def extra_chance_step(model: TargetModel, config: SamplerConfig, z: PhaseState,
     """
     u = float(rng.uniform())
     dt = jitter_dt(config.leg.dt, config.jitter_fraction, rng)
-    leg = LegSpec(dt=dt, steps=config.leg.steps)
+    # SamplerConfig has checked the base leg and the jitter fraction, so the
+    # jittered leg is valid as it stands.
+    leg = _unchecked(LegSpec, dt=dt, steps=config.leg.steps)
     log_u = math.log(u) if u > 0.0 else -math.inf
-    log_ref = log_rho(model, z)
     chances = config.extra_chances + 1
     log_running = -math.inf
     evals = 0
-    candidates = 0
-    current = z
-    diverged = False
-    for k in range(1, chances + 1):
-        candidates = k
-        log_ratio = -math.inf
-        if not diverged:
-            try:
-                current, n = verlet_leg(model, leg, current)
-                evals += n
-                lk = log_rho(model, current)
-                if log_ref == -math.inf:
-                    log_ratio = math.inf if lk > -math.inf else -math.inf
-                else:
-                    log_ratio = lk - log_ref
-            except DivergedLeg as err:
-                evals += err.force_evals
-                diverged = True
+    for k, (state, log_ratio, n) in enumerate(
+            _candidate_orbit(model, leg, z, chances, log_rho(model, z)), 1):
+        evals += n
         log_running = max(log_running, min(0.0, log_ratio))
-        if not diverged and log_ratio > -math.inf and log_u <= log_running:
-            return TransitionOutcome(current, k, candidates, evals, u, dt)
-    return TransitionOutcome(flip(z), chances + 1, candidates, evals, u, dt)
+        if log_ratio > -math.inf and log_u <= log_running:
+            return TransitionOutcome(state, k, k, evals, u, dt)
+    # Every candidate was rejected, or a leg diverged and the candidates from
+    # it on count as density zero: either way all of them count as computed.
+    return TransitionOutcome(flip(z), chances + 1, chances, evals, u, dt)
 
 
 @dataclass(frozen=True)
@@ -246,6 +257,9 @@ class ChainRecord:
 
     ``positions``/``momenta`` have ``transitions + 1`` rows; row 0 is the
     state the production run started from (after any burn-in).
+    ``candidates`` holds each transition's ``candidates_computed``: after a
+    diverged leg it includes the later, never integrated, density-zero
+    candidates.
     """
 
     positions: np.ndarray

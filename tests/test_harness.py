@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -239,3 +241,41 @@ class TestChainCsv:
         loaded = read_chain_csv(path)
         assert "momenta" not in loaded
         assert loaded["header"][:3] == ["transition", "slot", "dt"]
+
+    @pytest.mark.parametrize("include_momenta", [False, True])
+    def test_bytes_match_csv_writer(self, tmp_path, dwell2d, include_momenta):
+        # The reference is the row-by-row csv.writer form of the same table.
+        from xchmc import LegSpec, SamplerConfig
+        from xchmc.sampler import ChainRecord
+
+        config = SamplerConfig(leg=LegSpec(0.4, 3), psi=math.asin(0.6),
+                               extra_chances=3, jitter_fraction=0.1, seed=2)
+        chain = run_chain(dwell2d, config, PhaseState([0.1, -0.2], [0.3, 0.4]),
+                          Budget(transitions=40))
+        # Values whose repr is unusual: signed zero, subnormal, huge, long digits.
+        positions = chain.positions.copy()
+        positions[1:5, 0] = [-0.0, 5e-324, 1.7976931348623157e308, 1 / 3]
+        record = ChainRecord(positions=positions, momenta=chain.momenta, slots=chain.slots,
+                             candidates=chain.candidates, force_evals=chain.force_evals,
+                             dt_used=chain.dt_used, extra_chances=3, burn_in=0)
+        path = tmp_path / "chain.csv"
+        write_chain_csv(record, path, include_momenta=include_momenta)
+
+        d = record.positions.shape[1]
+        header = ["transition", "slot", "dt"] + [f"x{i}" for i in range(d)]
+        if include_momenta:
+            header += [f"y{i}" for i in range(d)]
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        for n in range(record.positions.shape[0]):
+            row = [str(n)]
+            if n == 0:
+                row += ["", ""]
+            else:
+                row += [str(record.slots[n - 1]), repr(float(record.dt_used[n - 1]))]
+            row += [repr(float(v)) for v in record.positions[n]]
+            if include_momenta:
+                row += [repr(float(v)) for v in record.momenta[n]]
+            writer.writerow(row)
+        assert path.read_bytes() == buf.getvalue().encode()

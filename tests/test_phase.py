@@ -148,6 +148,23 @@ class TestMassMatrix:
         y = np.array([2.0, 1.0])
         assert mass.kinetic(y) == pytest.approx(0.5 * (4.0 / 2.0 + 1.0 / 0.5))
 
+    def test_products_are_the_plain_formulas(self, rng):
+        # Bit for bit: the sampler's chains depend on the exact rounding.
+        d = np.array([0.5, 1.5, 2.5, 3.3])
+        m = np.array([[2.0, 0.3, 0.0, 0.1], [0.3, 1.0, 0.1, 0.0],
+                      [0.0, 0.1, 0.7, 0.2], [0.1, 0.0, 0.2, 1.9]])
+        diagonal, dense = MassMatrix.diagonal(d), MassMatrix.dense(m)
+        for _ in range(20):
+            v = rng.standard_normal(4) * 10.0
+            assert np.array_equal(diagonal.apply(v), d * v)
+            assert np.array_equal(diagonal.apply_inverse(v), v / d)
+            assert np.array_equal(diagonal.sqrt_apply(v), np.sqrt(d) * v)
+            assert diagonal.kinetic(v) == 0.5 * float(v @ (v / d))
+            assert np.array_equal(dense.apply(v), m @ v)
+            assert np.array_equal(dense.apply_inverse(v), np.linalg.inv(m) @ v)
+            assert np.array_equal(dense.sqrt_apply(v), np.linalg.cholesky(m) @ v)
+            assert dense.kinetic(v) == 0.5 * float(v @ (np.linalg.inv(m) @ v))
+
     def test_dimension_checked(self):
         mass = MassMatrix.diagonal([1.0, 2.0])
         with pytest.raises(ValueError, match="dimension"):
