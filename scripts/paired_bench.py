@@ -5,75 +5,62 @@ Usage (from the repository root)::
 
     mkdir -p /tmp/xchmc-parent
     git archive HEAD~1 | tar -x -C /tmp/xchmc-parent
-    python3 scripts/paired_bench.py --parent /tmp/xchmc-parent --change . \\
-        --workloads gauss10_chain --pairs 10 --first-seed 11 --out BENCH_topic.json
+    python3 scripts/paired_bench.py --parent /tmp/xchmc-parent --out BENCH_topic.json
 
-Pair i runs ``perfbench/run.py --seed <first-seed + i> --trace 0`` in each
-checkout, the parent first on even i and the change first on odd i, for the
-run length ``run_seconds`` of ``BENCHMARK.json`` unless ``--seconds`` is given.
-For every end-to-end metric it reports each side's median and quartiles, the
-pairs the change won (ties count for neither) and the gain rule: the change
-wins at least nine tenths of the pairs and the medians differ by more than the
-distance between the parent's quartiles.  It also reports the change's median
-against the parent's as a share, next to the metric's bound, and whether both
-sides produced the same output digest at every seed.  ``--traced N`` adds N
-traced runs per side and workload and reports the per-layer medians.  The
-result, with the machine facts of both sides, goes to ``--out``.
+Pair i runs ``perfbench/run.py --seed 11+i --trace 0`` in each checkout, for
+the ``run_seconds`` of ``BENCHMARK.json``, the parent first on even i.  Each
+end-to-end metric is summarised over the 10 pairs: both sides' medians and
+quartiles, the pairs the change won (ties count for neither), the gain rule
+(at least 9 wins and a median gain above the parent's quartile distance) and
+the change's median as a share of the parent's, next to the metric's bound.
+Three traced runs per side then give the per-layer medians.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import statistics
-import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PAIRS = 10
+FIRST_SEED = 11
+TRACED_RUNS = 3
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One ``perfbench/run.py`` run in ``checkout``; its last line and its run record."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True, timeout=1800)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{checkout}: {workload} seed {seed} failed:\n{proc.stderr}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    record = json.loads((checkout / ".perfbench_out"
-                         / f"{workload}-seed{seed}-trace{trace}.json").read_text())
-    return {"correct": result["correct"], "failed": result["failed"],
-            "attempted": result["attempted"],
-            "metrics": {k: m["value"] for k, m in result["metrics"].items()},
-            "uncalibrated": record.get("uncalibrated", {}),
-            "digest": record["batches"][0]["digest"], "machine": record["machine"]}
+def load_spread(side: str, checkout: Path):
+    """The ``perfbench/spread.py`` module of ``checkout``; its ``run_once`` runs there."""
+    spec = importlib.util.spec_from_file_location(f"spread_{side}",
+                                                  checkout / "perfbench" / "spread.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def quartiles(values: list[float]) -> dict:
-    q1, med, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else (values * 3)
-    return {"median": med, "q1": q1, "q3": q3}
+def metric_values(run: dict) -> dict:
+    return {k: m["value"] for k, m in run["result"]["metrics"].items()}
 
 
-def compare(runs: list[dict], metric: str, better: str, bound: float) -> dict:
+def compare(runs: list[dict], metric: str, better: str, bound: float, spread) -> dict:
     """Gain rule and regression share of one end-to-end metric over the pairs."""
     pairs = {}
     for r in runs:
-        pairs.setdefault(r["pair"], {})[r["side"]] = r["metrics"][metric]
+        pairs.setdefault(r["seed"], {})[r["side"]] = r["metrics"][metric]
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(sign * (p["change"] - p["parent"]) > 0 for p in pairs.values())
-    ties = sum(p["change"] == p["parent"] for p in pairs.values())
-    parent = quartiles([p["parent"] for p in pairs.values()])
-    change = quartiles([p["change"] for p in pairs.values()])
+    parent = spread([p["parent"] for p in pairs.values()])
+    change = spread([p["change"] for p in pairs.values()])
     gain = sign * (change["median"] - parent["median"])
     worse = -gain / abs(parent["median"]) if parent["median"] else 0.0
-    return {"parent": parent, "change": change, "pairs": len(pairs), "wins": wins,
-            "ties": ties, "change_over_parent": (change["median"] / parent["median"]
-                                                 if parent["median"] else None),
-            "gain_rule_met": wins >= 0.9 * len(pairs)
-            and gain > parent["q3"] - parent["q1"],
+    return {"parent": parent, "change": change, "wins": wins,
+            "ties": sum(p["change"] == p["parent"] for p in pairs.values()),
+            "change_over_parent": (change["median"] / parent["median"]
+                                   if parent["median"] else None),
+            "gain_rule_met": wins >= 0.9 * PAIRS and gain > parent["q3"] - parent["q1"],
             "worse_share": worse, "bound": bound, "within_bound": worse <= bound}
 
 
@@ -81,58 +68,54 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, default=ROOT)
-    parser.add_argument("--workloads", required=True, help="comma-separated workload names")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=11)
-    parser.add_argument("--seconds", type=float, default=None)
-    parser.add_argument("--traced", type=int, default=0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spread_of = {side: load_spread(side, path) for side, path in checkouts.items()}
     bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
-    out = {"invocations": [], "machine": {}, "workloads": {}}
-    if args.out.exists():  # add to an earlier result, one workload at a time
-        out = json.loads(args.out.read_text())
-    out["invocations"].append({"workloads": args.workloads, "pairs": args.pairs,
-                               "first_seed": args.first_seed, "seconds": seconds,
-                               "traced": args.traced})
-    for workload in args.workloads.split(","):
+    seconds = bench["run_seconds"]
+    out = {"pairs": PAIRS, "first_seed": FIRST_SEED, "run_seconds": seconds,
+           "traced_runs": TRACED_RUNS, "machine": {}, "workloads": {}}
+    for workload in (w["name"] for w in bench["workloads"]):
         runs = []
-        for i in range(args.pairs):
-            seed = args.first_seed + i
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
-            for position, side in enumerate(order):
-                r = run_once(checkouts[side], workload, seed, seconds, trace=0)
-                out["machine"][side] = r.pop("machine")
-                runs.append({"pair": i, "seed": seed, "side": side, "order": position, **r})
-                print(f"{workload} pair {i} seed {seed} {side}: "
-                      f"force_evals_per_s={r['metrics']['force_evals_per_s']:.0f} "
-                      f"correct={r['correct']}", flush=True)
+        for i in range(PAIRS):
+            seed = FIRST_SEED + i
+            for position, side in enumerate(SIDES if i % 2 == 0 else SIDES[::-1]):
+                r = spread_of[side].run_once(workload, seed, seconds, 0)
+                out["machine"][side] = r["machine"]
+                runs.append({"seed": seed, "side": side, "order": position,
+                             "correct": r["result"]["correct"],
+                             "failed": r["result"]["failed"],
+                             "attempted": r["result"]["attempted"],
+                             "metrics": metric_values(r), "uncalibrated": r["uncalibrated"],
+                             "digest": r["digest"]})
+                print(f"{workload} seed {seed} {side}: "
+                      f"force_evals_per_s={runs[-1]['metrics']['force_evals_per_s']:.0f} "
+                      f"correct={runs[-1]['correct']}", flush=True)
         digests = {}
         for r in runs:
             digests.setdefault(r["seed"], set()).add(r["digest"])
-        summary = {m["name"]: compare(runs, m["name"], m["better"], m["bound"])
+        summary = {m["name"]: compare(runs, m["name"], m["better"], m["bound"],
+                                      spread_of["change"].spread)
                    for m in bench["end_to_end"]}
-        entry = {"run_seconds": seconds, "runs": runs, "summary": summary,
-                 "all_correct": all(r["correct"] for r in runs),
-                 "same_outputs": all(len(d) == 1 for d in digests.values())}
-        if args.traced:
-            entry["traced"] = {}
-            for side in SIDES:
-                traced = [run_once(checkouts[side], workload, args.first_seed + j, seconds, 1)
-                          for j in range(args.traced)]
-                entry["traced"][side] = {
-                    "all_correct": all(t["correct"] for t in traced),
-                    "layers": {k: statistics.median(t["metrics"][k] for t in traced)
-                               for k in traced[0]["metrics"]}}
-        out["workloads"][workload] = entry
+        traced = {}
+        for side in SIDES:
+            t = [spread_of[side].run_once(workload, FIRST_SEED + j, seconds, 1)
+                 for j in range(TRACED_RUNS)]
+            traced[side] = {"all_correct": all(r["result"]["correct"] for r in t),
+                            "layers": {k: statistics.median(metric_values(r)[k] for r in t)
+                                       for k in t[0]["result"]["metrics"]}}
+        out["workloads"][workload] = {
+            "runs": runs, "summary": summary, "traced": traced,
+            "all_correct": all(r["correct"] for r in runs),
+            "same_outputs": all(len(d) == 1 for d in digests.values())}
         args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
         fe = summary["force_evals_per_s"]
         print(f"{workload}: force_evals_per_s parent {fe['parent']['median']:.0f} "
-              f"change {fe['change']['median']:.0f}, wins {fe['wins']}/{fe['pairs']}, "
-              f"gain rule met: {fe['gain_rule_met']}, same outputs: {entry['same_outputs']}")
+              f"change {fe['change']['median']:.0f}, wins {fe['wins']}/{PAIRS}, "
+              f"gain rule met: {fe['gain_rule_met']}, "
+              f"same outputs: {out['workloads'][workload]['same_outputs']}", flush=True)
     return 0
 
 

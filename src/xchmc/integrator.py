@@ -109,13 +109,18 @@ def jitter_dt(base_dt: float, fraction: float, rng) -> float:
 
     Always consumes exactly one uniform draw so the stream layout does not
     depend on ``fraction``; at fraction 0 the result is exactly ``base_dt``.
+    The draw comes from the caller's ``rng``, so the result is checked to be
+    a valid step size.
     """
     if not (math.isfinite(base_dt) and base_dt > 0):
         raise ValueError("base_dt must be positive and finite")
     if not (0.0 <= fraction < 1.0):
         raise ValueError("jitter fraction must lie in [0, 1)")
     u = float(rng.uniform(-fraction, fraction))
-    return base_dt * (1.0 + u)
+    dt = base_dt * (1.0 + u)
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"jittered step size {dt!r} is not positive and finite")
+    return dt
 
 
 def check_reversibility(model: TargetModel, spec: LegSpec, z: PhaseState) -> float:

@@ -118,17 +118,17 @@ def slot_distribution(log_ratios) -> SlotDistribution:
     return SlotDistribution(sigma=sigma, p=p, log_sigma=log_sigma)
 
 
-def _candidate_orbit(model: TargetModel, leg: LegSpec, z: PhaseState, count: int,
-                     log_ref: float):
+def _candidate_orbit(model: TargetModel, leg: LegSpec, z: PhaseState, count: int):
     """Integrate the candidate orbit I z, I^2 z, ... lazily, one leg per item.
 
     Yields ``(state, log_ratio, force_evals)`` for candidates 1..count, where
-    ``log_ratio`` is log rho(I^k z) - ``log_ref``.  When ``log_ref`` is -inf
-    (a start of density zero) the ratio is +inf for a candidate of positive
-    density and -inf otherwise.  A diverged leg yields ``(None, -inf, its
-    partial force evaluations)`` and ends the orbit: the later candidates are
-    not integrated and have density zero.
+    ``log_ratio`` is log rho(I^k z) - log rho(z).  When rho(z) is zero the
+    ratio is +inf for a candidate of positive density and -inf otherwise.  A
+    diverged leg yields ``(None, -inf, its partial force evaluations)`` and
+    ends the orbit: the later candidates are not integrated and have density
+    zero.
     """
+    log_ref = log_rho(model, z)
     current = z
     for _ in range(count):
         try:
@@ -146,8 +146,7 @@ def _candidate_orbit(model: TargetModel, leg: LegSpec, z: PhaseState, count: int
 def _forward_log_ratios(model: TargetModel, leg: LegSpec, z: PhaseState, count: int) -> np.ndarray:
     """log rho(I^j z) - log rho(z) for j = 1..count; -inf from the first diverged leg on."""
     out = np.full(count, -math.inf)
-    for j, (_, log_ratio, _) in enumerate(_candidate_orbit(model, leg, z, count,
-                                                           log_rho(model, z))):
+    for j, (_, log_ratio, _) in enumerate(_candidate_orbit(model, leg, z, count)):
         out[j] = log_ratio
     return out
 
@@ -169,13 +168,17 @@ def refresh_momentum(model: TargetModel, z: PhaseState, psi: float, rng) -> Phas
     """Partial momentum refresh (x, y) -> (x, cos(psi) y + sin(psi) zeta), zeta ~ N(0, M).
 
     psi = pi/2 replaces the momentum completely.  The position block is passed
-    through untouched.
+    through untouched.  The noise comes from the caller's ``rng`` and must be
+    finite.
     """
     if not (0.0 < psi <= _HALF_PI):
         raise ValueError("psi must lie in (0, pi/2]")
     if z.x.shape[0] != model.dim:
         raise ValueError(f"state dimension {z.dim} does not match target dimension {model.dim}")
-    noise = model.mass._sqrt_mul(np.asarray(rng.standard_normal(z.x.shape[0]), dtype=float))
+    noise = np.asarray(rng.standard_normal(z.x.shape[0]), dtype=float)
+    if not np.logical_and.reduce(np.isfinite(noise), None):
+        raise ValueError("refresh noise must be finite")
+    noise = model.mass._sqrt_mul(noise)
     c, s = _cos_sin(psi)
     return _unchecked(PhaseState, x=z.x, y=c * z.y + s * noise)
 
@@ -211,15 +214,14 @@ def extra_chance_step(model: TargetModel, config: SamplerConfig, z: PhaseState,
     """
     u = float(rng.uniform())
     dt = jitter_dt(config.leg.dt, config.jitter_fraction, rng)
-    # SamplerConfig has checked the base leg and the jitter fraction, so the
-    # jittered leg is valid as it stands.
+    # jitter_dt returns a positive, finite step size and SamplerConfig has
+    # checked the step count, so the jittered leg is valid as it stands.
     leg = _unchecked(LegSpec, dt=dt, steps=config.leg.steps)
     log_u = math.log(u) if u > 0.0 else -math.inf
     chances = config.extra_chances + 1
     log_running = -math.inf
     evals = 0
-    for k, (state, log_ratio, n) in enumerate(
-            _candidate_orbit(model, leg, z, chances, log_rho(model, z)), 1):
+    for k, (state, log_ratio, n) in enumerate(_candidate_orbit(model, leg, z, chances), 1):
         evals += n
         log_running = max(log_running, min(0.0, log_ratio))
         if log_ratio > -math.inf and log_u <= log_running:

@@ -314,6 +314,25 @@ class TestMalformedGradient:
                       Budget(transitions=2))
 
 
+class TestCallerRngDraws:
+    """Draws from the caller's rng are outside input: bad ones raise, as before."""
+
+    @pytest.mark.parametrize("jitter", [-1.0, -2.0, math.nan, math.inf])
+    def test_jitter_giving_a_bad_step_size_raises(self, gauss2d, jitter):
+        config = SamplerConfig(leg=LegSpec(0.1, 3), psi=1.0, jitter_fraction=0.1)
+        with pytest.raises(ValueError, match="step size"):
+            extra_chance_step(gauss2d, config, PhaseState([0.5, 0.5], [1.0, -1.0]),
+                              ScriptedRng(uniforms=[0.5], jitters=[jitter]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_refresh_noise_raises(self, gauss2d, bad):
+        config = SamplerConfig(leg=LegSpec(0.1, 3), psi=1.0)
+        rng = ScriptedRng(normals=[0.3, bad], uniforms=[0.5])
+        with pytest.raises(ValueError, match="noise"):
+            run_chain(gauss2d, config, PhaseState([0.5, 0.5], [1.0, -1.0]),
+                      Budget(transitions=1), rng=rng)
+
+
 def walled(dim=1):
     """Free particle with a wall: density zero (infinite potential) wherever x0 > 1."""
     return TargetModel(dim=dim, potential=lambda x: math.inf if x[0] > 1.0 else 0.0,
