@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -270,16 +271,10 @@ def _config_for(spec: ExperimentSpec, value) -> SamplerConfig:
 
 
 def _spec_payload(spec: ExperimentSpec) -> dict:
-    return {
-        "target": spec.target, "dims": spec.dims, "target_params": spec.target_params,
-        "sweep_axis": spec.sweep_axis, "sweep_values": list(spec.sweep_values),
-        "dt": spec.dt, "steps": spec.steps, "leg_span": spec.leg_span,
-        "sin_psi": spec.sin_psi, "extra_chances": spec.extra_chances,
-        "jitter": spec.jitter, "replicas": spec.replicas,
-        "budget_force_evals": spec.budget_force_evals, "burn_in": spec.burn_in,
-        "observable": spec.observable, "seed": spec.seed,
-        "include_momenta": spec.include_momenta,
-    }
+    """The spec as plain data for workers and ``summary.json``; the output directory is left out."""
+    payload = dataclasses.asdict(spec)
+    del payload["out_dir"]
+    return payload
 
 
 def _run_replica(payload: dict) -> dict:
@@ -381,6 +376,15 @@ def _aggregate(entries: list[dict]) -> dict:
             "slot_means": slot_means}
 
 
+def _replica_results(payloads: list[dict], workers: int):
+    """Results of ``_run_replica`` over ``payloads``, in order, each as soon as it is ready."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(_run_replica, payloads)
+    else:
+        yield from map(_run_replica, payloads)
+
+
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> SummaryReport:
     """Run the full sweep: replicas x sweep values, aggregation, and reporting.
 
@@ -389,32 +393,27 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> SummaryReport:
     failures are recorded in place of their entry.  When ``spec.out_dir`` is
     set, one CSV per replica plus ``summary.json`` are written there.
     """
+    spec_payload = _spec_payload(spec)
     payloads = [
-        {"spec": _spec_payload(spec), "value": value, "value_index": i, "replica": r}
+        {"spec": spec_payload, "value": value, "value_index": i, "replica": r}
         for i, value in enumerate(spec.sweep_values)
         for r in range(spec.replicas)
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw_results = list(pool.map(_run_replica, payloads))
-    else:
-        raw_results = [_run_replica(p) for p in payloads]
-
-    by_cell = {(res["value_index"], res["replica"]): res for res in raw_results}
     out_dir = Path(spec.out_dir) if spec.out_dir else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    results = []
-    for i, value in enumerate(spec.sweep_values):
-        entries = []
-        for r in range(spec.replicas):
-            res = by_cell[(i, r)]
-            entries.append(res["entry"])
-            if out_dir is not None and res["record"] is not None:
-                path = out_dir / f"{spec.sweep_axis}_{i:02d}_rep{r:02d}.csv"
-                write_chain_csv(res["record"], path, include_momenta=spec.include_momenta)
-        results.append({"value": value, "replicas": entries, "aggregate": _aggregate(entries)})
+    # Each replica's CSV is written as soon as its result arrives, in payload
+    # order, and only its summary entry is kept.
+    entries: list[list[dict]] = [[] for _ in spec.sweep_values]
+    for res in _replica_results(payloads, workers):
+        i, r = res["value_index"], res["replica"]
+        entries[i].append(res["entry"])
+        if out_dir is not None and res["record"] is not None:
+            path = out_dir / f"{spec.sweep_axis}_{i:02d}_rep{r:02d}.csv"
+            write_chain_csv(res["record"], path, include_momenta=spec.include_momenta)
+    results = [{"value": value, "replicas": entries[i], "aggregate": _aggregate(entries[i])}
+               for i, value in enumerate(spec.sweep_values)]
 
     report = SummaryReport(spec=spec, results=tuple(results))
     if out_dir is not None:

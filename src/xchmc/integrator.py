@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from xchmc.phase import PhaseState, TargetModel, _unchecked, flip
+from xchmc.phase import PhaseState, TargetModel, _all_finite, _unchecked, flip
 
 __all__ = [
     "LegSpec",
@@ -62,46 +62,36 @@ def verlet_leg(model: TargetModel, spec: LegSpec, z: PhaseState) -> tuple[PhaseS
     Divergence raises :class:`DivergedLeg` with the partial evaluation count.
 
     ``z`` is a checked state; only its dimension is compared with the target.
-    Every gradient and the end state are tested for finiteness, so the end
-    state is built without re-checking it.
+    Every gradient is checked against the state's shape and, like the end
+    state, tested for finiteness, so the end state is built without re-checking
+    it.  ``z`` is never modified: the kicks update a copy of the momentum in
+    place, and the position is never updated in place (a gradient may return
+    its argument).
     """
     if z.x.shape[0] != model.dim:
         raise ValueError(f"state dimension {z.dim} does not match target dimension {model.dim}")
     dt = spec.dt
     half_dt = 0.5 * dt
+    steps = spec.steps
     inv_mass = model.mass._inv_mul
     gradient = model.gradient
-    # all_true(isfinite(a), None) is a.all() over every axis, without the
-    # Python wrapper of ndarray.all.
-    isfinite = np.isfinite
-    all_true = np.logical_and.reduce
-    evals = 0
     x = z.x
-    y = z.y
+    y = z.y.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        g = np.asarray(gradient(x), dtype=float)
-        evals += 1
-        if not all_true(isfinite(g), None):
-            raise DivergedLeg(0, evals)
-        y = y - half_dt * g
-        for step in range(1, spec.steps):
-            x = x + dt * inv_mass(y)
+        # Gradient evaluation ``step`` follows a drift (all but the first) and
+        # feeds a half kick at either end of the leg and a full kick between.
+        for step in range(steps + 1):
+            if step:
+                x = x + dt * inv_mass(y)
             g = np.asarray(gradient(x), dtype=float)
-            evals += 1
-            if not all_true(isfinite(g), None):
-                raise DivergedLeg(step, evals)
-            y = y - dt * g
-        x = x + dt * inv_mass(y)
-        g = np.asarray(gradient(x), dtype=float)
-        evals += 1
-        if not all_true(isfinite(g), None):
-            raise DivergedLeg(spec.steps, evals)
-        y = y - half_dt * g
-    if not (all_true(isfinite(x), None) and all_true(isfinite(y), None)):
-        raise DivergedLeg(spec.steps, evals)
-    if y.shape != z.y.shape:
-        raise ValueError(f"gradient values do not match the state shape {z.y.shape}")
-    return _unchecked(PhaseState, x=x, y=y), evals
+            if g.shape != y.shape:
+                raise ValueError(f"gradient values do not match the state shape {y.shape}")
+            if not _all_finite(g):
+                raise DivergedLeg(step, step + 1)
+            y -= (dt if 0 < step < steps else half_dt) * g
+        if not (_all_finite(x) and _all_finite(y)):
+            raise DivergedLeg(steps, steps + 1)
+    return _unchecked(PhaseState, x=x, y=y), steps + 1
 
 
 def jitter_dt(base_dt: float, fraction: float, rng) -> float:

@@ -60,6 +60,19 @@ def _unchecked(cls, **fields):
     return obj
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of the float vector ``a`` is finite, in one numpy call.
+
+    ``a.dot(a)`` is finite exactly when every entry is, unless the sum of
+    squares overflows; only then are the entries tested one by one.  The test
+    ``v - v == 0.0`` runs on a Python float, so an infinite or NaN sum emits no
+    warning.  An overflowing sum does, unless the caller ignores overflow
+    (``np.errstate(over="ignore")``).
+    """
+    v = float(a.dot(a))
+    return v - v == 0.0 or bool(np.isfinite(a).all())
+
+
 def flip(z: PhaseState) -> PhaseState:
     """Momentum flip (x, y) -> (x, -y): an involution that preserves the energy."""
     return _unchecked(PhaseState, x=z.x, y=-z.y)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from xchmc.integrator import DivergedLeg, LegSpec, jitter_dt, verlet_leg
-from xchmc.phase import PhaseState, TargetModel, _unchecked, flip, log_rho
+from xchmc.integrator import DivergedLeg, LegSpec, verlet_leg
+from xchmc.phase import PhaseState, TargetModel, _all_finite, _unchecked, flip, log_rho
 from xchmc.rng import chain_rng
 
 __all__ = [
@@ -176,7 +176,7 @@ def refresh_momentum(model: TargetModel, z: PhaseState, psi: float, rng) -> Phas
     if z.x.shape[0] != model.dim:
         raise ValueError(f"state dimension {z.dim} does not match target dimension {model.dim}")
     noise = np.asarray(rng.standard_normal(z.x.shape[0]), dtype=float)
-    if not np.logical_and.reduce(np.isfinite(noise), None):
+    if not _all_finite(noise):
         raise ValueError("refresh noise must be finite")
     noise = model.mass._sqrt_mul(noise)
     c, s = _cos_sin(psi)
@@ -202,6 +202,18 @@ class TransitionOutcome:
     dt: float                 # jittered step size shared by every leg of this transition
 
 
+def _acceptance_and_jitter_draws(rng, fraction: float) -> tuple[float, float]:
+    """The acceptance draw ``uniform()`` and the jitter ``uniform(-fraction, fraction)``.
+
+    ``Generator.uniform(low, high)`` is ``low + (high - low) * random()``, so
+    for a ``numpy.random.Generator`` the same stream gives the same bits
+    through the cheaper ``random()``.  Any other rng is asked for ``uniform``.
+    """
+    if type(rng) is np.random.Generator:
+        return rng.random(), -fraction + (fraction - -fraction) * rng.random()
+    return float(rng.uniform()), float(rng.uniform(-fraction, fraction))
+
+
 def extra_chance_step(model: TargetModel, config: SamplerConfig, z: PhaseState,
                       rng) -> TransitionOutcome:
     """Apply the delayed-rejection dynamics map to ``z``.
@@ -212,10 +224,12 @@ def extra_chance_step(model: TargetModel, config: SamplerConfig, z: PhaseState,
     returned if none of the ``extra_chances + 1`` candidates does.  Diverged
     candidates count as density zero and are never accepted.
     """
-    u = float(rng.uniform())
-    dt = jitter_dt(config.leg.dt, config.jitter_fraction, rng)
-    # jitter_dt returns a positive, finite step size and SamplerConfig has
-    # checked the step count, so the jittered leg is valid as it stands.
+    u, jitter = _acceptance_and_jitter_draws(rng, config.jitter_fraction)
+    # SamplerConfig has checked the base step, the jitter fraction and the step
+    # count; the draw comes from the caller's rng, so the step size is checked.
+    dt = config.leg.dt * (1.0 + jitter)
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"jittered step size {dt!r} is not positive and finite")
     leg = _unchecked(LegSpec, dt=dt, steps=config.leg.steps)
     log_u = math.log(u) if u > 0.0 else -math.inf
     chances = config.extra_chances + 1
@@ -225,10 +239,12 @@ def extra_chance_step(model: TargetModel, config: SamplerConfig, z: PhaseState,
         evals += n
         log_running = max(log_running, min(0.0, log_ratio))
         if log_ratio > -math.inf and log_u <= log_running:
-            return TransitionOutcome(state, k, k, evals, u, dt)
+            return _unchecked(TransitionOutcome, next_state=state, slot=k,
+                              candidates_computed=k, force_evals=evals, u=u, dt=dt)
     # Every candidate was rejected, or a leg diverged and the candidates from
     # it on count as density zero: either way all of them count as computed.
-    return TransitionOutcome(flip(z), chances + 1, chances, evals, u, dt)
+    return _unchecked(TransitionOutcome, next_state=flip(z), slot=chances + 1,
+                      candidates_computed=chances, force_evals=evals, u=u, dt=dt)
 
 
 @dataclass(frozen=True)
@@ -370,6 +386,11 @@ def lahmc_from_log_ratios(log_ratios) -> tuple[np.ndarray, np.ndarray]:
     probabilities: its cumulative sums must reproduce ``sigma`` from
     :func:`slot_distribution`.
 
+    A ratio of +inf means that rho(z) is zero (see :func:`_candidate_orbit`).
+    The ratios then hold no density ratio between orbit points of positive
+    density, and none is needed: the first candidate of positive density gets
+    probability one, the others zero.
+
     Returns ``(pi, cumulative)`` for candidates 1..len(log_ratios).
     """
     lr = np.atleast_1d(np.asarray(log_ratios, dtype=float))
@@ -379,6 +400,10 @@ def lahmc_from_log_ratios(log_ratios) -> tuple[np.ndarray, np.ndarray]:
     # Log density at orbit points I^m z relative to rho(z), m = 0..kmax.
     fwd = np.concatenate([[0.0], lr])
     fwd[np.isnan(fwd)] = -math.inf
+    if fwd.max() == math.inf:
+        probs = np.zeros(kmax)
+        probs[np.argmax(fwd[1:] > -math.inf)] = 1.0
+        return probs, np.cumsum(probs)
     memo: dict[tuple[int, int, bool], float] = {}
 
     def pi(k: int, m: int, flipped: bool) -> float:

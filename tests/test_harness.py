@@ -192,6 +192,28 @@ class TestRunExperiment:
         parallel = run_experiment(spec, workers=2)
         assert serial.json_bytes() == parallel.json_bytes()
 
+    def test_worker_count_does_not_change_output_files(self, tmp_path):
+        # CSVs are written as each replica's result arrives; the files must
+        # not depend on how the replicas were scheduled.
+        files = {}
+        for workers in (1, 2, 3):
+            out = tmp_path / f"w{workers}"
+            run_experiment(tiny_spec(replicas=3, values=[0.2, 0.4], out_dir=str(out),
+                                     include_momenta=True), workers=workers)
+            files[workers] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert len(files[1]) == 7
+        assert files[1] == files[2] == files[3]
+
+    def test_summary_spec_block(self, tmp_path):
+        report = run_experiment(tiny_spec(out_dir=str(tmp_path)))
+        assert json.loads((tmp_path / "summary.json").read_bytes())["spec"] == {
+            "target": "gaussian", "dims": 1, "target_params": {}, "sweep_axis": "dt",
+            "sweep_values": [0.3], "dt": None, "steps": 4, "leg_span": None,
+            "sin_psi": 1.0, "extra_chances": 0, "jitter": 0.0, "replicas": 1,
+            "budget_force_evals": 1000, "burn_in": 5, "observable": "x0", "seed": 7,
+            "include_momenta": False}
+        assert report.to_json_dict()["spec"]["sweep_values"] == [0.3]
+
     def test_failed_replica_recorded_not_fatal(self):
         # 20 force evals -> 4 transitions, far too short for an ESS estimate
         report = run_experiment(tiny_spec(budget_force_evals=20, burn_in=0))

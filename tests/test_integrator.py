@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from test_kernel_reference import MASSES, ref_leg
 from xchmc import (DivergedLeg, LegSpec, PhaseState, TargetModel, builtin_target,
                    check_reversibility, check_volume_preservation, flip, hamiltonian,
                    jitter_dt, verlet_leg)
@@ -102,6 +103,33 @@ class TestVerletLeg:
         assert 0 <= err.step_index <= 50
         assert err.force_evals == calls["n"]
         assert err.force_evals <= 51
+
+    @pytest.mark.parametrize("mass", sorted(MASSES))
+    def test_gradient_returning_its_argument(self, mass):
+        # The kicks update the momentum in place; with a gradient that hands
+        # back its argument, neither the input state nor an earlier position
+        # may change under them.
+        model = TargetModel(dim=3, potential=lambda x: 0.5 * float(x @ x),
+                            gradient=lambda x: x, mass=MASSES[mass](3))
+        x0, y0 = np.array([0.3, -1.2, 0.8]), np.array([1.1, 0.4, -0.6])
+        z = PhaseState(x0.copy(), y0.copy())
+        x_in, y_in = z.x, z.y
+        for steps in (1, 2, 7):
+            spec = LegSpec(0.21, steps)
+            out, evals = verlet_leg(model, spec, z)
+            ref, ref_evals = ref_leg(model, spec, PhaseState(x0, y0))
+            assert evals == ref_evals == steps + 1
+            assert np.array_equal(out.x, ref.x) and np.array_equal(out.y, ref.y)
+            assert z.x is x_in and z.y is y_in
+            assert np.array_equal(z.x, x0) and np.array_equal(z.y, y0)
+            assert not np.shares_memory(out.y, z.y) and not np.shares_memory(out.y, z.x)
+
+    def test_input_state_never_modified(self, banana2d, rng):
+        for _ in range(20):
+            z = PhaseState(rng.standard_normal(2), rng.standard_normal(2))
+            x0, y0 = z.x.copy(), z.y.copy()
+            verlet_leg(banana2d, LegSpec(0.1, 4), z)
+            assert np.array_equal(z.x, x0) and np.array_equal(z.y, y0)
 
     def test_flip_conjugation_inverts_leg(self, banana2d, rng):
         spec = LegSpec(0.1, 6)

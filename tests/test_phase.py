@@ -1,15 +1,52 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from xchmc import (MassMatrix, PhaseState, TargetModel, builtin_target, flip,
                    gradient_fd_error, hamiltonian, log_rho)
+from xchmc.phase import _all_finite
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 vectors = st.lists(finite_floats, min_size=1, max_size=6)
+
+
+@st.composite
+def vectors_with_non_finite_entries(draw):
+    """Vectors of length 1..64 over the whole float range (squares may overflow),
+    with up to three entries replaced by NaN or +-inf at any position."""
+    d = draw(st.integers(min_value=1, max_value=64))
+    a = np.array(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                               min_size=d, max_size=d)))
+    for i, bad in draw(st.lists(st.tuples(st.integers(0, d - 1),
+                                          st.sampled_from([math.nan, math.inf, -math.inf])),
+                                max_size=3)):
+        a[i] = bad
+    return a
+
+
+class TestAllFinite:
+    @given(vectors_with_non_finite_entries())
+    @example(np.array([1e200, -1e200, 0.5]))
+    @example(np.array([1e200, math.nan]))
+    @example(np.array([-math.inf]))
+    def test_matches_entrywise_test(self, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # An overflowing sum of squares warns unless overflow is ignored,
+            # as it is in the leg loop.
+            with np.errstate(over="ignore"):
+                assert _all_finite(a) == bool(np.isfinite(a).all())
+
+    def test_non_finite_entries_emit_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (math.nan, math.inf, -math.inf):
+                assert not _all_finite(np.array([1.0, bad, 2.0]))
+            assert _all_finite(np.array([1.0, -2.0, 3.0]))
 
 
 class TestPhaseState:

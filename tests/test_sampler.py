@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from xchmc import (Budget, LegSpec, MassMatrix, PhaseState, SamplerConfig, Scrip
                    palindromic_refresh_angle, refresh_momentum, run_chain,
                    run_palindromic_chain, sigma_sequence, slot_distribution,
                    slot_stats, verlet_leg)
+from xchmc.sampler import _acceptance_and_jitter_draws
 
 log_ratio_vectors = st.lists(
     st.floats(min_value=-40.0, max_value=40.0, allow_nan=False),
@@ -243,6 +245,23 @@ class TestExtraChanceStep:
         assert out.force_evals < 2 * 51  # legs were abandoned early
 
 
+class TestAcceptanceAndJitterDraws:
+    @pytest.mark.parametrize("fraction", [0.0, 0.05, 0.3, 0.999])
+    def test_generator_draws_are_those_of_uniform(self, fraction):
+        fast, slow = np.random.default_rng(2024), np.random.default_rng(2024)
+        n = 100_000
+        got = np.array([_acceptance_and_jitter_draws(fast, fraction) for _ in range(n)])
+        want = np.array([(slow.uniform(), slow.uniform(-fraction, fraction))
+                         for _ in range(n)])
+        assert got.tobytes() == want.tobytes()
+        assert fast.random() == slow.random()
+
+    def test_other_rngs_are_asked_for_uniform(self):
+        scripted = ScriptedRng(uniforms=[0.25, 0.75], jitters=[0.01, -0.02])
+        assert _acceptance_and_jitter_draws(scripted, 0.05) == (0.25, 0.01)
+        assert _acceptance_and_jitter_draws(scripted, 0.05) == (0.75, -0.02)
+
+
 class TestRunChain:
     def test_zero_transitions_records_start_only(self, gauss1d):
         z0 = PhaseState([0.3], [-0.2])
@@ -372,6 +391,22 @@ class TestLookAhead:
         assert np.allclose(cum, [0.6, 1.0], atol=1e-12)
         pi, cum = lahmc_from_log_ratios(np.log([0.6, 0.3, 0.5]))
         assert np.allclose(cum, [0.6, 0.6, 0.6], atol=1e-12)
+
+    def test_start_of_density_zero_accepts_first_positive_candidate(self):
+        # From x = 2 with y = -1 each leg moves x by -0.5: candidate 1 lies
+        # behind the wall (density zero), candidates 2..4 in front of it.
+        walled = TargetModel(dim=1, potential=lambda x: math.inf if x[0] > 1.0 else 0.0,
+                             gradient=lambda x: np.zeros_like(x))
+        leg = LegSpec(0.25, 2)
+        z = PhaseState([2.0], [-1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pi, cum = lahmc_probabilities(walled, leg, z, 3)
+            assert np.array_equal(pi, [0.0, 1.0, 0.0, 0.0])
+            assert np.array_equal(cum, sigma_sequence(walled, leg, z, 3).sigma)
+            pi, cum = lahmc_from_log_ratios([-math.inf, math.inf, -math.inf, math.inf, math.inf])
+            assert np.array_equal(pi, [0.0, 1.0, 0.0, 0.0, 0.0])
+            assert np.array_equal(cum, [0.0, 1.0, 1.0, 1.0, 1.0])
 
     @given(log_ratio_vectors)
     def test_probabilities_well_formed(self, lrs):
