@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from test_kernel_reference import walled
 from xchmc import (Budget, LegSpec, MassMatrix, PhaseState, SamplerConfig, ScriptedRng,
                    TargetModel, builtin_target, chain_rng, couple_noise,
                    ess_initial_monotone, extra_chance_step, flip, hamiltonian,
@@ -395,15 +396,14 @@ class TestLookAhead:
     def test_start_of_density_zero_accepts_first_positive_candidate(self):
         # From x = 2 with y = -1 each leg moves x by -0.5: candidate 1 lies
         # behind the wall (density zero), candidates 2..4 in front of it.
-        walled = TargetModel(dim=1, potential=lambda x: math.inf if x[0] > 1.0 else 0.0,
-                             gradient=lambda x: np.zeros_like(x))
+        model = walled()
         leg = LegSpec(0.25, 2)
         z = PhaseState([2.0], [-1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pi, cum = lahmc_probabilities(walled, leg, z, 3)
+            pi, cum = lahmc_probabilities(model, leg, z, 3)
             assert np.array_equal(pi, [0.0, 1.0, 0.0, 0.0])
-            assert np.array_equal(cum, sigma_sequence(walled, leg, z, 3).sigma)
+            assert np.array_equal(cum, sigma_sequence(model, leg, z, 3).sigma)
             pi, cum = lahmc_from_log_ratios([-math.inf, math.inf, -math.inf, math.inf, math.inf])
             assert np.array_equal(pi, [0.0, 1.0, 0.0, 0.0, 0.0])
             assert np.array_equal(cum, [0.0, 1.0, 1.0, 1.0, 1.0])
