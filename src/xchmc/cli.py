@@ -15,12 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from xchmc.diagnostics import ess_initial_monotone, slot_stats, ZeroVarianceError
-from xchmc.harness import (SpecError, load_spec, run_experiment, write_chain_csv)
-from xchmc.integrator import LegSpec
-from xchmc.phase import PhaseState, builtin_target
+from xchmc.diagnostics import series_average, slot_stats
+from xchmc.harness import (ExperimentSpec, SpecError, load_spec, run_experiment, sample_chain,
+                           write_chain_csv)
 from xchmc.rng import chain_rng
-from xchmc.sampler import Budget, SamplerConfig, run_chain
 from xchmc.verification import SUITES, verify
 
 EXIT_OK = 0
@@ -78,21 +76,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sample(args) -> int:
-    model = builtin_target(args.target, args.dims)
-    if not 0.0 < args.sin_psi <= 1.0:
-        raise ValueError("--sin-psi must lie in (0, 1]")
-    config = SamplerConfig(
-        leg=LegSpec(dt=args.dt, steps=args.steps),
-        psi=math.asin(args.sin_psi),
-        extra_chances=args.extra_chances,
-        jitter_fraction=args.jitter,
-        seed=args.seed,
-    )
-    rng = chain_rng(args.seed, 0)
-    y0 = model.mass.sqrt_apply(rng.standard_normal(args.dims))
-    z0 = PhaseState(np.zeros(args.dims), y0)
-    record = run_chain(model, config, z0,
-                       Budget(force_evals=args.budget, burn_in=args.burn_in), rng=rng)
+    # One replica of a dt "sweep" at --dt, on the stream chain_rng(seed, 0).
+    spec = ExperimentSpec(target=args.target, dims=args.dims, steps=args.steps,
+                          sin_psi=args.sin_psi, extra_chances=args.extra_chances,
+                          jitter=args.jitter, budget_force_evals=args.budget,
+                          burn_in=args.burn_in, seed=args.seed)
+    record = sample_chain(spec, args.dt, chain_rng(args.seed, 0))
     stats = slot_stats(record)
     if args.out is not None:
         if args.format == "csv":
@@ -149,14 +138,11 @@ def _cmd_ess(args) -> int:
         raise ValueError(f"column {args.column!r} not in {args.input} (have: {header})")
     idx = header.index(args.column)
     values = np.array([float(row[idx]) for row in rows if row[idx] != ""])
-    try:
-        ess = ess_initial_monotone(values)
-        stderr = float(values.std(ddof=1) * math.sqrt(1.0 / ess))
-        payload = {"column": args.column, "n": int(values.size), "mean": float(values.mean()),
-                   "ess": ess, "stderr": stderr}
-    except ZeroVarianceError:
-        payload = {"column": args.column, "n": int(values.size), "mean": float(values.mean()),
-                   "ess": None, "stderr": None, "note": "zero variance; ESS undefined"}
+    mean, ess, stderr = series_average(values)
+    payload = {"column": args.column, "n": int(values.size), "mean": mean,
+               "ess": ess, "stderr": stderr}
+    if math.isnan(ess):
+        payload.update(ess=None, stderr=None, note="zero variance; ESS undefined")
     print(json.dumps(payload, sort_keys=True))
     return EXIT_OK
 

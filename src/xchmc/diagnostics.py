@@ -25,6 +25,7 @@ __all__ = [
     "interval_indicator",
     "make_observable",
     "AverageEstimate",
+    "series_average",
     "estimate_average",
 ]
 
@@ -207,20 +208,25 @@ class AverageEstimate(NamedTuple):
     stderr: float
 
 
-def estimate_average(record: ChainRecord, observable: Observable) -> AverageEstimate:
-    """Trajectory average of an observable with ESS-adjusted standard error.
+def series_average(values) -> AverageEstimate:
+    """Mean of a series with its ESS and ESS-adjusted standard error.
 
     The standard error is sample std * sqrt(1 / ESS).  For a zero-variance
-    observable the mean is still returned; ESS and standard error are NaN and
-    a RuntimeWarning signals that the ESS is undefined.
+    series ESS and standard error are NaN.
     """
-    values = np.array([observable.fn(x) for x in record.positions])
-    mean = float(values.mean())
+    values = np.asarray(values, dtype=float)
     try:
         ess = ess_initial_monotone(values)
     except ZeroVarianceError:
+        return AverageEstimate(float(values.mean()), math.nan, math.nan)
+    return AverageEstimate(float(values.mean()), ess,
+                           float(values.std(ddof=1) * math.sqrt(1.0 / ess)))
+
+
+def estimate_average(record: ChainRecord, observable: Observable) -> AverageEstimate:
+    """:func:`series_average` of an observable; a RuntimeWarning marks an undefined ESS."""
+    estimate = series_average([observable.fn(x) for x in record.positions])
+    if math.isnan(estimate.ess):
         warnings.warn(f"observable {observable.name!r} has zero variance; ESS undefined",
                       RuntimeWarning, stacklevel=2)
-        return AverageEstimate(mean, math.nan, math.nan)
-    stderr = float(values.std(ddof=1) * math.sqrt(1.0 / ess))
-    return AverageEstimate(mean, float(ess), stderr)
+    return estimate

@@ -24,6 +24,7 @@ __all__ = [
     "load_spec",
     "parse_spec",
     "SummaryReport",
+    "sample_chain",
     "run_experiment",
     "write_chain_csv",
     "read_chain_csv",
@@ -69,6 +70,10 @@ def _require(condition: bool, field_name: str, message: str) -> None:
         raise SpecError(field_name, message)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_positive_int(value, field_name: str, minimum: int = 0) -> int:
     _require(isinstance(value, int) and not isinstance(value, bool) and value >= minimum,
              field_name, f"must be an integer >= {minimum}")
@@ -76,9 +81,21 @@ def _as_positive_int(value, field_name: str, minimum: int = 0) -> int:
 
 
 def _as_positive_float(value, field_name: str) -> float:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
-             and math.isfinite(value) and value > 0, field_name, "must be a positive number")
+    _require(_is_number(value) and math.isfinite(value) and value > 0,
+             field_name, "must be a positive number")
     return float(value)
+
+
+def _as_sin_psi(value, field_name: str) -> float:
+    _require(_is_number(value) and 0.0 < value <= 1.0, field_name,
+             "must lie in (0, 1] (it is the sine of the refresh angle)")
+    return float(value)
+
+
+def _as_object(value, field_name: str) -> dict:
+    """A copy of an optional JSON object; absent (None) gives an empty one."""
+    _require(value is None or isinstance(value, dict), field_name, "must be an object")
+    return dict(value or {})
 
 
 def parse_spec(raw: dict) -> ExperimentSpec:
@@ -96,7 +113,6 @@ def parse_spec(raw: dict) -> ExperimentSpec:
     "values": [...]}`` is also accepted.  Unknown keys are rejected.
     """
     _require(isinstance(raw, dict), "spec", "must be a JSON object")
-    raw = dict(raw)
 
     known = {"target", "dims", "sweep", "values", "fixed", "replicas",
              "budget_force_evals", "burn_in", "observable", "seed", "out_dir",
@@ -119,7 +135,7 @@ def parse_spec(raw: dict) -> ExperimentSpec:
         _require(not extra, "target", f"unknown keys: {sorted(extra)}")
         name = target_raw.get("name")
         _require(isinstance(name, str), "target.name", "must be a string")
-        params = dict(target_raw.get("params") or {})
+        params = _as_object(target_raw.get("params"), "target.params")
         dims = params.pop("dims", None)
         _require(dims is not None, "target.params.dims", "is required")
     dims = _as_positive_int(dims, "dims", minimum=1)
@@ -143,12 +159,10 @@ def parse_spec(raw: dict) -> ExperimentSpec:
              "sweep.values", "must be a non-empty list")
 
     # --- fixed parameters -------------------------------------------------
-    fixed = dict(raw.get("fixed") or {})
-    _require(isinstance(fixed, dict), "fixed", "must be an object")
+    fixed = _as_object(raw.get("fixed"), "fixed")
     extra = set(fixed) - {"dt", "L", "leg_span", "sin_psi", "K", "jitter"}
     _require(not extra, "fixed", f"unknown keys: {sorted(extra)}")
-    fixed_axis_names = {"dt": "dt", "leg_span": "leg_span", "sin_psi": "sin_psi", "K": "K"}
-    _require(fixed_axis_names[axis] not in fixed, f"fixed.{axis}",
+    _require(axis not in fixed, f"fixed.{axis}",
              "duplicates the sweep axis; a parameter is either swept or fixed")
 
     dt = fixed.get("dt")
@@ -163,16 +177,11 @@ def parse_spec(raw: dict) -> ExperimentSpec:
     _require(not (steps is not None and leg_span is not None),
              "fixed.leg_span", "give either L or leg_span, not both")
 
-    sin_psi = fixed.get("sin_psi", 1.0)
-    if axis != "sin_psi":
-        _require(isinstance(sin_psi, (int, float)) and 0.0 < sin_psi <= 1.0,
-                 "fixed.sin_psi", "must lie in (0, 1] (it is the sine of the refresh angle)")
-    extra_chances = fixed.get("K", 0)
-    if axis != "K":
-        extra_chances = _as_positive_int(extra_chances, "fixed.K")
+    # A swept sin_psi or K is absent from ``fixed``, so its unused default is checked here.
+    sin_psi = _as_sin_psi(fixed.get("sin_psi", 1.0), "fixed.sin_psi")
+    extra_chances = _as_positive_int(fixed.get("K", 0), "fixed.K")
     jitter = fixed.get("jitter", 0.05)
-    _require(isinstance(jitter, (int, float)) and 0.0 <= jitter < 1.0,
-             "fixed.jitter", "must lie in [0, 1)")
+    _require(_is_number(jitter) and 0.0 <= jitter < 1.0, "fixed.jitter", "must lie in [0, 1)")
 
     # Leg geometry must be fully determined for every sweep value.
     if axis == "dt":
@@ -187,25 +196,15 @@ def parse_spec(raw: dict) -> ExperimentSpec:
                  "fixed", "needs fixed.L or fixed.leg_span")
 
     # --- sweep values -----------------------------------------------------
-    checked_values = []
-    for i, v in enumerate(values):
-        fname = f"sweep.values[{i}]"
-        if axis == "dt" or axis == "leg_span":
-            checked_values.append(_as_positive_float(v, fname))
-        elif axis == "sin_psi":
-            _require(isinstance(v, (int, float)) and 0.0 < v <= 1.0, fname,
-                     "must lie in (0, 1] (it is the sine of the refresh angle)")
-            checked_values.append(float(v))
-        else:  # K
-            checked_values.append(_as_positive_int(v, fname))
+    check_value = {"dt": _as_positive_float, "leg_span": _as_positive_float,
+                   "sin_psi": _as_sin_psi, "K": _as_positive_int}[axis]
+    checked_values = tuple(check_value(v, f"sweep.values[{i}]") for i, v in enumerate(values))
 
     replicas = _as_positive_int(raw.get("replicas", 10), "replicas", minimum=1)
     budget = _as_positive_int(raw.get("budget_force_evals", 1_000_000),
                               "budget_force_evals", minimum=1)
     burn_in = _as_positive_int(raw.get("burn_in", 500), "burn_in")
-    seed = raw.get("seed", 0)
-    _require(isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
-             "seed", "must be a non-negative integer")
+    seed = _as_positive_int(raw.get("seed", 0), "seed")
     observable = raw.get("observable", "x0")
     try:
         make_observable(observable)
@@ -218,9 +217,9 @@ def parse_spec(raw: dict) -> ExperimentSpec:
 
     spec = ExperimentSpec(
         target=name, dims=dims, target_params=params,
-        sweep_axis=axis, sweep_values=tuple(checked_values),
-        dt=dt, steps=steps, leg_span=leg_span, sin_psi=float(sin_psi),
-        extra_chances=int(extra_chances), jitter=float(jitter),
+        sweep_axis=axis, sweep_values=checked_values,
+        dt=dt, steps=steps, leg_span=leg_span, sin_psi=sin_psi,
+        extra_chances=extra_chances, jitter=float(jitter),
         replicas=replicas, budget_force_evals=budget, burn_in=burn_in,
         observable=observable, seed=seed, out_dir=out_dir,
         include_momenta=include_momenta,
@@ -259,11 +258,9 @@ def _config_for(spec: ExperimentSpec, value) -> SamplerConfig:
         extra = int(value)
     if steps is None:
         steps = max(1, round(leg_span / dt))
-    if not 0.0 < sin_psi <= 1.0:
-        raise SpecError("sin_psi", "must lie in (0, 1]")
     return SamplerConfig(
         leg=LegSpec(dt=dt, steps=steps),
-        psi=math.asin(sin_psi),
+        psi=math.asin(_as_sin_psi(sin_psi, "sin_psi")),
         extra_chances=extra,
         jitter_fraction=spec.jitter,
         seed=spec.seed,
@@ -277,25 +274,31 @@ def _spec_payload(spec: ExperimentSpec) -> dict:
     return payload
 
 
+def sample_chain(spec: ExperimentSpec, value, rng) -> ChainRecord:
+    """One chain of ``spec`` at the sweep value ``value``, drawing from ``rng``.
+
+    The start is the origin with momentum M^1/2 zeta, zeta the first ``dims``
+    normals of ``rng``; then come the burn-in and the force-evaluation budget.
+    """
+    model = builtin_target(spec.target, spec.dims, **spec.target_params)
+    config = _config_for(spec, value)
+    y0 = model.mass.sqrt_apply(rng.standard_normal(spec.dims))
+    z0 = PhaseState(np.zeros(spec.dims), y0)
+    budget = Budget(force_evals=spec.budget_force_evals, burn_in=spec.burn_in)
+    return run_chain(model, config, z0, budget, rng=rng)
+
+
 def _run_replica(payload: dict) -> dict:
     """Run one (sweep value, replica) cell; module-level so worker pools can pickle it.
 
-    Draw order per replica: the initial momentum (dim normals), then the
-    chain's per-transition draws.  The replica stream is
-    chain_rng(seed, value_index, replica_index).
+    The replica stream is chain_rng(seed, value_index, replica_index); see
+    :func:`sample_chain` for the draws.
     """
     spec = ExperimentSpec(**payload["spec"])
-    value = payload["value"]
     value_index = payload["value_index"]
     replica = payload["replica"]
     try:
-        model = builtin_target(spec.target, spec.dims, **spec.target_params)
-        config = _config_for(spec, value)
-        rng = chain_rng(spec.seed, value_index, replica)
-        y0 = model.mass.sqrt_apply(rng.standard_normal(spec.dims))
-        z0 = PhaseState(np.zeros(spec.dims), y0)
-        budget = Budget(force_evals=spec.budget_force_evals, burn_in=spec.burn_in)
-        record = run_chain(model, config, z0, budget, rng=rng)
+        record = sample_chain(spec, payload["value"], chain_rng(spec.seed, value_index, replica))
         stats = slot_stats(record)
         estimate = estimate_average(record, make_observable(spec.observable))
         slots = {f"a{k}": float(stats.acceptance_fractions[k])

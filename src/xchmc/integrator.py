@@ -1,4 +1,4 @@
-"""Velocity Verlet legs, time-step jitter, and numerical map checkers."""
+"""Velocity Verlet legs and numerical map checkers."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ __all__ = [
     "LegSpec",
     "DivergedLeg",
     "verlet_leg",
-    "jitter_dt",
     "check_reversibility",
     "check_volume_preservation",
 ]
@@ -92,25 +91,6 @@ def verlet_leg(model: TargetModel, spec: LegSpec, z: PhaseState) -> tuple[PhaseS
         if not (_all_finite(x) and _all_finite(y)):
             raise DivergedLeg(steps, steps + 1)
     return _unchecked(PhaseState, x=x, y=y), steps + 1
-
-
-def jitter_dt(base_dt: float, fraction: float, rng) -> float:
-    """Draw a uniformly jittered step size ``base_dt * (1 + u)``, u ~ U(-fraction, fraction).
-
-    Always consumes exactly one uniform draw so the stream layout does not
-    depend on ``fraction``; at fraction 0 the result is exactly ``base_dt``.
-    The draw comes from the caller's ``rng``, so the result is checked to be
-    a valid step size.
-    """
-    if not (math.isfinite(base_dt) and base_dt > 0):
-        raise ValueError("base_dt must be positive and finite")
-    if not (0.0 <= fraction < 1.0):
-        raise ValueError("jitter fraction must lie in [0, 1)")
-    u = float(rng.uniform(-fraction, fraction))
-    dt = base_dt * (1.0 + u)
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"jittered step size {dt!r} is not positive and finite")
-    return dt
 
 
 def check_reversibility(model: TargetModel, spec: LegSpec, z: PhaseState) -> float:

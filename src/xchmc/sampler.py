@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from xchmc.integrator import DivergedLeg, LegSpec, verlet_leg
-from xchmc.phase import PhaseState, TargetModel, _all_finite, _unchecked, flip, log_rho
+from xchmc.phase import PhaseState, TargetModel, _unchecked, flip, log_rho
 from xchmc.rng import chain_rng
 
 __all__ = [
@@ -87,10 +87,6 @@ class SlotDistribution:
     p: np.ndarray
     log_sigma: np.ndarray
 
-    @property
-    def flip_probability(self) -> float:
-        return float(self.p[-1])
-
 
 def slot_distribution(log_ratios) -> SlotDistribution:
     """Build the acceptance-slot partition from forward log density ratios.
@@ -143,8 +139,12 @@ def _candidate_orbit(model: TargetModel, leg: LegSpec, z: PhaseState, count: int
             yield current, log_k - log_ref, evals
 
 
-def _forward_log_ratios(model: TargetModel, leg: LegSpec, z: PhaseState, count: int) -> np.ndarray:
-    """log rho(I^j z) - log rho(z) for j = 1..count; -inf from the first diverged leg on."""
+def _forward_log_ratios(model: TargetModel, leg: LegSpec, z: PhaseState,
+                        extra_chances: int) -> np.ndarray:
+    """log rho(I^j z) - log rho(z), j = 1..extra_chances + 1; -inf from a diverged leg on."""
+    if int(extra_chances) != extra_chances or extra_chances < 0:
+        raise ValueError("extra_chances must be an integer >= 0")
+    count = int(extra_chances) + 1
     out = np.full(count, -math.inf)
     for j, (_, log_ratio, _) in enumerate(_candidate_orbit(model, leg, z, count)):
         out[j] = log_ratio
@@ -159,9 +159,7 @@ def sigma_sequence(model: TargetModel, leg: LegSpec, z: PhaseState,
     this always computes the full slot distribution, at the cost of the full
     orbit.  Diverged candidates contribute density zero.
     """
-    if int(extra_chances) != extra_chances or extra_chances < 0:
-        raise ValueError("extra_chances must be an integer >= 0")
-    return slot_distribution(_forward_log_ratios(model, leg, z, int(extra_chances) + 1))
+    return slot_distribution(_forward_log_ratios(model, leg, z, extra_chances))
 
 
 def refresh_momentum(model: TargetModel, z: PhaseState, psi: float, rng) -> PhaseState:
@@ -176,7 +174,10 @@ def refresh_momentum(model: TargetModel, z: PhaseState, psi: float, rng) -> Phas
     if z.x.shape[0] != model.dim:
         raise ValueError(f"state dimension {z.dim} does not match target dimension {model.dim}")
     noise = np.asarray(rng.standard_normal(z.x.shape[0]), dtype=float)
-    if not _all_finite(noise):
+    # phase._all_finite's test, but outside the leg's np.errstate: np.vdot, unlike
+    # ndarray.dot, does not warn when huge finite noise overflows the sum of squares.
+    v = float(np.vdot(noise, noise))
+    if not (v - v == 0.0 or np.isfinite(noise).all()):
         raise ValueError("refresh noise must be finite")
     noise = model.mass._sqrt_mul(noise)
     c, s = _cos_sin(psi)
@@ -296,9 +297,6 @@ class ChainRecord:
     @property
     def total_force_evals(self) -> int:
         return int(self.force_evals.sum())
-
-    def state(self, n: int) -> PhaseState:
-        return PhaseState(self.positions[n], self.momenta[n])
 
 
 class _Recorder:
@@ -440,10 +438,7 @@ def lahmc_from_log_ratios(log_ratios) -> tuple[np.ndarray, np.ndarray]:
 def lahmc_probabilities(model: TargetModel, leg: LegSpec, z: PhaseState,
                         extra_chances: int) -> tuple[np.ndarray, np.ndarray]:
     """Look-ahead probabilities for the orbit of ``z``; see :func:`lahmc_from_log_ratios`."""
-    if int(extra_chances) != extra_chances or extra_chances < 0:
-        raise ValueError("extra_chances must be an integer >= 0")
-    lr = _forward_log_ratios(model, leg, z, int(extra_chances) + 1)
-    return lahmc_from_log_ratios(lr)
+    return lahmc_from_log_ratios(_forward_log_ratios(model, leg, z, extra_chances))
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +501,7 @@ def couple_noise(psi: float, initial_momentum, pre_refresh_noise, post_refresh_n
     with PSI the half-step angle, so i.i.d. N(0, M) streams map to i.i.d.
     N(0, M) streams.
     """
-    if not (0.0 < psi <= _HALF_PI):
-        raise ValueError("psi must lie in (0, pi/2]")
+    half = palindromic_refresh_angle(psi)
     y_init = np.atleast_1d(np.asarray(initial_momentum, dtype=float))
     pre = np.atleast_2d(np.asarray(pre_refresh_noise, dtype=float))
     post = np.atleast_2d(np.asarray(post_refresh_noise, dtype=float))
@@ -516,7 +510,6 @@ def couple_noise(psi: float, initial_momentum, pre_refresh_noise, post_refresh_n
         raise ValueError("need at least one pre-refresh noise vector")
     if post.shape[0] < n_trans - 1:
         raise ValueError("post-refresh noise stream too short")
-    half = palindromic_refresh_angle(psi)
     delta = psi - half
     c_delta, s_delta = (1.0, 0.0) if delta == 0.0 else (math.cos(delta), math.sin(delta))
     ch, sh = _cos_sin(half)

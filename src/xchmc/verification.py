@@ -71,32 +71,32 @@ def _random_state(rng, dim: int) -> PhaseState:
     return PhaseState(rng.standard_normal(dim), rng.standard_normal(dim))
 
 
-def verify_reversibility(points_per_target: int = 100, seed: int = DEFAULT_SEED,
-                         tolerance: float = 1e-10) -> CheckOutcome:
-    """Integrate forward, flip, integrate back, flip: must restore the state."""
-    rng = chain_rng(seed, 1)
+def _leg_battery(name: str, check, stream: int, points_per_target: int, seed: int,
+                 tolerance: float) -> CheckOutcome:
+    """Worst ``check(model, leg, z)`` over 5-step legs and random states z of every target."""
+    rng = chain_rng(seed, stream)
     worst = 0.0
     checks = 0
     for model, dt in _battery_targets():
         leg = LegSpec(dt=dt, steps=5)
         for _ in range(points_per_target):
-            worst = max(worst, check_reversibility(model, leg, _random_state(rng, model.dim)))
+            worst = max(worst, check(model, leg, _random_state(rng, model.dim)))
             checks += 1
-    return CheckOutcome("reversibility", worst <= tolerance, worst, tolerance, checks)
+    return CheckOutcome(name, worst <= tolerance, worst, tolerance, checks)
+
+
+def verify_reversibility(points_per_target: int = 100, seed: int = DEFAULT_SEED,
+                         tolerance: float = 1e-10) -> CheckOutcome:
+    """Integrate forward, flip, integrate back, flip: must restore the state."""
+    return _leg_battery("reversibility", check_reversibility, 1, points_per_target, seed,
+                        tolerance)
 
 
 def verify_volume(points_per_target: int = 100, seed: int = DEFAULT_SEED,
                   tolerance: float = 1e-5) -> CheckOutcome:
     """|det J - 1| of the leg map, via central-difference Jacobians."""
-    rng = chain_rng(seed, 2)
-    worst = 0.0
-    checks = 0
-    for model, dt in _battery_targets():
-        leg = LegSpec(dt=dt, steps=5)
-        for _ in range(points_per_target):
-            worst = max(worst, check_volume_preservation(model, leg, _random_state(rng, model.dim)))
-            checks += 1
-    return CheckOutcome("volume_preservation", worst <= tolerance, worst, tolerance, checks)
+    return _leg_battery("volume_preservation", check_volume_preservation, 2, points_per_target,
+                        seed, tolerance)
 
 
 def verify_main_identity(triples: int = 1000, seed: int = DEFAULT_SEED,

@@ -1,10 +1,13 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
+from xchmc import (Budget, LegSpec, PhaseState, SamplerConfig, builtin_target, chain_rng,
+                   coordinate, estimate_average, run_chain, write_chain_csv)
 from xchmc.cli import main
 
 SAMPLE = ["sample", "--target", "gaussian", "--dims", "1", "--dt", "0.3",
@@ -15,6 +18,16 @@ def run_sample(tmp_path, *extra):
     out = tmp_path / "chain.csv"
     code = main(SAMPLE + ["--out", str(out)] + list(extra))
     return code, out
+
+
+def hand_run_sample(sin_psi=1.0, extra_chances=0, jitter=0.05):
+    """The chain of SAMPLE, run without the CLI: start (0, M^1/2 zeta) on chain_rng(3, 0)."""
+    model = builtin_target("gaussian", 1)
+    config = SamplerConfig(leg=LegSpec(0.3, 4), psi=math.asin(sin_psi),
+                           extra_chances=extra_chances, jitter_fraction=jitter, seed=3)
+    rng = chain_rng(3, 0)
+    z0 = PhaseState([0.0], model.mass.sqrt_apply(rng.standard_normal(1)))
+    return run_chain(model, config, z0, Budget(force_evals=600, burn_in=5), rng=rng)
 
 
 class TestSample:
@@ -42,6 +55,15 @@ class TestSample:
         b = tmp_path / "second.csv"
         main(SAMPLE + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_momenta_csv_is_the_hand_run_chain(self, tmp_path):
+        code, out = run_sample(tmp_path, "--momenta", "--sin-psi", "0.5",
+                               "--extra-chances", "2", "--jitter", "0.2")
+        assert code == 0
+        expected = tmp_path / "expected.csv"
+        write_chain_csv(hand_run_sample(sin_psi=0.5, extra_chances=2, jitter=0.2), expected,
+                        include_momenta=True)
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_unknown_target_is_usage_error(self, tmp_path, capsys):
         code = main(["sample", "--target", "volcano", "--dims", "1",
@@ -95,6 +117,14 @@ class TestEss:
         assert payload["column"] == "x0"
         assert 0 < payload["ess"] <= payload["n"]
         assert payload["stderr"] > 0
+
+    def test_matches_estimate_average(self, tmp_path, capsys):
+        _, out = run_sample(tmp_path)
+        capsys.readouterr()
+        assert main(["ess", "--input", str(out), "--column", "x0"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        expected = estimate_average(hand_run_sample(), coordinate(0))
+        assert (payload["mean"], payload["ess"], payload["stderr"]) == tuple(expected)
 
     def test_missing_column_is_usage_error(self, tmp_path, capsys):
         _, out = run_sample(tmp_path)

@@ -9,6 +9,7 @@ import pytest
 from xchmc import (Budget, PhaseState, SpecError, builtin_target, chain_rng,
                    load_spec, parse_spec, read_chain_csv, run_chain,
                    run_experiment, write_chain_csv)
+from xchmc.cli import main
 from xchmc.harness import _config_for
 
 MINIMAL = {"target": "gaussian", "dims": 1, "sweep": "dt", "values": [0.3],
@@ -79,6 +80,23 @@ class TestParseSpec:
             parse_spec(raw)
         assert err.value.field == "fixed.sin_psi"
         assert "(0, 1]" in str(err.value)
+
+    @pytest.mark.parametrize("raw,field", [
+        *[({**MINIMAL, "fixed": bad}, "fixed") for bad in ([1, 2], "ab", 5)],
+        *[({"target": {"name": "gaussian", "params": bad}, "sweep": "dt", "values": [0.3],
+            "fixed": {"L": 4}}, "target.params") for bad in ([1, 2], "ab", 5)],
+        ({**MINIMAL, "fixed": {"L": 4, "sin_psi": True}}, "fixed.sin_psi"),
+        ({**MINIMAL, "sweep": "sin_psi", "values": [0.5, True], "fixed": {"dt": 0.2, "L": 4}},
+         "sweep.values[1]"),
+        ({**MINIMAL, "fixed": {"L": 4, "jitter": False}}, "fixed.jitter"),
+    ])
+    def test_malformed_field_is_a_spec_error(self, tmp_path, raw, field):
+        with pytest.raises(SpecError) as err:
+            parse_spec(raw)
+        assert err.value.field == field
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(raw))
+        assert main(["sweep", "--spec", str(path)]) == 1
 
     def test_bad_axis_rejected(self):
         with pytest.raises(SpecError, match="sweep.axis"):

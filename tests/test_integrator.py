@@ -6,7 +6,7 @@ import pytest
 from test_kernel_reference import MASSES, ref_leg
 from xchmc import (DivergedLeg, LegSpec, PhaseState, TargetModel, builtin_target,
                    check_reversibility, check_volume_preservation, flip, hamiltonian,
-                   jitter_dt, verlet_leg)
+                   verlet_leg)
 
 
 def free_model(dim=1):
@@ -139,34 +139,6 @@ class TestVerletLeg:
         restored = flip(back)
         assert np.allclose(restored.x, z.x, atol=1e-12)
         assert np.allclose(restored.y, z.y, atol=1e-12)
-
-
-class TestJitter:
-    def test_zero_fraction_exact_and_consumes_draw(self):
-        rng = np.random.default_rng(3)
-        before = rng.bit_generator.state["state"]["state"]
-        assert jitter_dt(0.2, 0.0, rng) == 0.2
-        after = rng.bit_generator.state["state"]["state"]
-        assert before != after
-
-    def test_bounds_and_mean(self):
-        rng = np.random.default_rng(5)
-        draws = np.array([jitter_dt(1.0, 0.05, rng) for _ in range(100_000)])
-        assert draws.min() >= 0.95
-        assert draws.max() <= 1.05
-        assert abs(draws.mean() - 1.0) <= 1e-3
-
-    def test_deterministic_given_seed(self):
-        a = jitter_dt(0.3, 0.05, np.random.default_rng(11))
-        b = jitter_dt(0.3, 0.05, np.random.default_rng(11))
-        assert a == b
-
-    def test_bad_fraction(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            jitter_dt(0.1, 1.0, rng)
-        with pytest.raises(ValueError):
-            jitter_dt(0.1, -0.1, rng)
 
 
 class TestVolumePreservation:

@@ -26,6 +26,17 @@ def free_model(dim=1):
                        gradient=lambda x: np.zeros_like(x))
 
 
+class TestSamplerConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("psi", 0.0), ("psi", 2.0), ("extra_chances", -1), ("extra_chances", 1.5),
+        ("jitter_fraction", 1.0), ("jitter_fraction", -0.1),
+    ])
+    def test_rejects_out_of_range_fields(self, field, value):
+        fields = {"leg": LegSpec(0.1, 3), "psi": 1.0, field: value}
+        with pytest.raises(ValueError, match=field):
+            SamplerConfig(**fields)
+
+
 class TestRefreshMomentum:
     def test_position_untouched_bit_for_bit(self, gauss2d, rng):
         z = PhaseState(rng.standard_normal(2), rng.standard_normal(2))
@@ -49,6 +60,20 @@ class TestRefreshMomentum:
         out = refresh_momentum(model, PhaseState([0.0], [0.0]), math.pi / 2,
                                ScriptedRng(normals=[1.0]))
         assert out.y[0] == pytest.approx(2.0)
+
+    def test_noise_of_any_finite_size_refreshes_without_warning(self, gauss2d):
+        z = PhaseState([0.0, 0.0], [1.0, -1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = refresh_momentum(gauss2d, z, math.pi / 2,
+                                   ScriptedRng(normals=[1e200, 1.0]))
+            assert np.array_equal(out.y, [1e200, 1.0])
+            out = refresh_momentum(gauss2d, z, math.pi / 2,
+                                   ScriptedRng(normals=[1.7e308, -1.7e308]))
+            assert np.array_equal(out.y, [1.7e308, -1.7e308])
+            for bad in (math.inf, -math.inf, math.nan):
+                with pytest.raises(ValueError, match="noise"):
+                    refresh_momentum(gauss2d, z, 0.5, ScriptedRng(normals=[1e200, bad]))
 
     def test_angle_range_enforced(self, gauss1d, rng):
         z = PhaseState([0.0], [0.0])
