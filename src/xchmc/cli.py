@@ -150,10 +150,12 @@ def _cmd_ess(args) -> int:
 def _cmd_plot_data(args) -> int:
     summary = json.loads(Path(args.summary).read_text())
     axis = summary["spec"]["sweep_axis"]
-    rows = [(block["value"], block["aggregate"]["ess_mean"], block["aggregate"]["ess_std"])
-            for block in summary["results"]]
     lines = [f"{axis},ess_mean,ess_std"]
-    lines += [f"{v},{m},{s}" for v, m, s in rows]
+    for block in summary["results"]:
+        agg = block["aggregate"]
+        # A null aggregate (no replica had a defined ESS) is an empty field.
+        fields = [block["value"], agg["ess_mean"], agg["ess_std"]]
+        lines.append(",".join("" if f is None else str(f) for f in fields))
     text = "\n".join(lines) + "\n"
     if args.out is not None:
         args.out.write_text(text)

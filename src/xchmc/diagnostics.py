@@ -11,7 +11,7 @@ import numpy as np
 
 from xchmc.integrator import LegSpec, verlet_leg
 from xchmc.phase import PhaseState, TargetModel, flip, log_rho
-from xchmc.sampler import ChainRecord, sigma_sequence
+from xchmc.sampler import ChainRecord, _log_ratio, sigma_sequence, slot_distribution
 
 __all__ = [
     "ZeroVarianceError",
@@ -114,24 +114,28 @@ def check_main_identity(model: TargetModel, leg: LegSpec, z: PhaseState, k: int)
     """Relative discrepancy in the stationarity identity for acceptance slot k.
 
     The flow-weighted slot probability rho(z) p_k(z) must equal its value at
-    the flipped end of the k-leg orbit, rho(F I^k z) p_k(F I^k z).  Both sides
-    are evaluated through independent slot-distribution computations (one
-    started at z, one at F I^k z), with a shared reference energy cancelling
-    the unknown normalizer.  Returns |left - right| / max(|left|, |right|),
-    and 0 when both sides vanish.  Diverged legs propagate as DivergedLeg so
-    the caller can skip the point explicitly.
+    the flipped end of the k-leg orbit, rho(F I^k z) p_k(F I^k z).  One lazy
+    orbit of z, k legs long, supplies the log density ratios that give
+    p_k(z), the mirror point F I^k z and its density (rho is flip-invariant).
+    The right side comes from a separate slot-distribution computation
+    started at the mirror, which integrates an orbit of its own: comparing
+    the two orbits is the check.  A shared reference energy cancels the
+    unknown normalizer.  Returns |left - right| / max(|left|, |right|), and 0
+    when both sides vanish.  A diverged leg of the orbit of z raises
+    DivergedLeg so the caller can skip the point explicitly.
     """
     if int(k) != k or k < 1:
         raise ValueError("k must be an integer >= 1")
     k = int(k)
-    current = z
-    for _ in range(k):
-        current, _ = verlet_leg(model, leg, current)
-    mirror = flip(current)
-    p_here = sigma_sequence(model, leg, z, k - 1).p[k - 1]
-    p_there = sigma_sequence(model, leg, mirror, k - 1).p[k - 1]
     log_here = log_rho(model, z)
-    log_there = log_rho(model, mirror)
+    log_ratios = np.empty(k)
+    current = z
+    for j in range(k):
+        current, _ = verlet_leg(model, leg, current)
+        log_there = log_rho(model, current)
+        log_ratios[j] = _log_ratio(log_there, log_here)
+    p_here = slot_distribution(log_ratios).p[k - 1]
+    p_there = sigma_sequence(model, leg, flip(current), k - 1).p[k - 1]
     ref = max(log_here, log_there)
     if ref == -math.inf:
         return 0.0

@@ -43,17 +43,26 @@ class PhaseState:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
+    # ``(potential, V(x))`` on the states the kernel builds, so that a chain
+    # evaluates the potential of each position once (see ``_orbit_start``).
+    # Not a field: equality, repr and pickling see ``x`` and ``y`` only.
+    _potential = None
+
     @property
     def dim(self) -> int:
         return self.x.shape[0]
+
+    def __getstate__(self) -> dict:
+        return {"x": self.x, "y": self.y}
 
 
 def _unchecked(cls, **fields):
     """Instance of the frozen dataclass ``cls`` from fields known to be valid.
 
     Skips ``__post_init__``.  The kernel builds its own states and jittered legs
-    with this from arrays and values it has already checked; every caller
-    outside the kernel goes through the checking constructor.
+    with this from arrays and values it has already checked, and passes a
+    state's carried potential on as the extra attribute ``_potential``; every
+    caller outside the kernel goes through the checking constructor.
     """
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
@@ -75,7 +84,7 @@ def _all_finite(a: np.ndarray) -> bool:
 
 def flip(z: PhaseState) -> PhaseState:
     """Momentum flip (x, y) -> (x, -y): an involution that preserves the energy."""
-    return _unchecked(PhaseState, x=z.x, y=-z.y)
+    return _unchecked(PhaseState, x=z.x, y=-z.y, _potential=z._potential)
 
 
 def _same(v: np.ndarray) -> np.ndarray:
@@ -85,14 +94,15 @@ def _same(v: np.ndarray) -> np.ndarray:
 class MassMatrix:
     """Symmetric positive-definite mass matrix in identity, diagonal, or dense form.
 
-    Supplies the three products the sampler needs: ``M v`` (kick scaling checks),
-    ``M^-1 v`` (drifts and kinetic energy) and ``M^1/2 v`` (drawing momenta
-    distributed as N(0, M) from standard normals).  The identity form is
-    dimension-free; diagonal and dense forms fix the dimension.
+    Supplies the two products the sampler needs: ``M^-1 v`` (drifts and
+    kinetic energy) and ``M^1/2 v`` (drawing momenta distributed as N(0, M)
+    from standard normals); ``_mul`` (``M v``) serves checks of the two.  The
+    identity form is dimension-free; diagonal and dense forms fix the
+    dimension.
 
     The public products check their argument.  The kernel calls the unchecked
-    ``_mul``/``_inv_mul``/``_sqrt_mul``/``_kinetic`` on float vectors it has
-    already validated against the target dimension.
+    ``_inv_mul``/``_sqrt_mul``/``_kinetic`` on float vectors it has already
+    validated against the target dimension.
     """
 
     def __init__(self, diag=None, dense=None):
@@ -163,10 +173,6 @@ class MassMatrix:
             raise ValueError(f"vector of shape {v.shape} does not match mass dimension {self.dim}")
         return v
 
-    def apply(self, v) -> np.ndarray:
-        """Return M v."""
-        return self._mul(self._checked(v))
-
     def apply_inverse(self, v) -> np.ndarray:
         """Return M^-1 v."""
         return self._inv_mul(self._checked(v))
@@ -212,16 +218,16 @@ class TargetModel:
             )
 
 
-def hamiltonian(model: TargetModel, z: PhaseState) -> float:
-    """Total energy 0.5 y' M^-1 y + V(x); +inf when either term is not finite."""
+def _check_dim(model: TargetModel, z: PhaseState) -> None:
     if z.x.shape[0] != model.dim:
         raise ValueError(f"state dimension {z.dim} does not match target dimension {model.dim}")
+
+
+def hamiltonian(model: TargetModel, z: PhaseState) -> float:
+    """Total energy 0.5 y' M^-1 y + V(x); +inf when either term is not finite."""
+    _check_dim(model, z)
     with np.errstate(over="ignore", invalid="ignore"):
-        v = float(model.potential(z.x))
-        if not math.isfinite(v):
-            return math.inf
-        total = model.mass._kinetic(z.y) + v
-    return total if math.isfinite(total) else math.inf
+        return _hamiltonian(model, z.y, float(model.potential(z.x)))
 
 
 def log_rho(model: TargetModel, z: PhaseState) -> float:
@@ -230,6 +236,51 @@ def log_rho(model: TargetModel, z: PhaseState) -> float:
     if h == math.inf:
         return -math.inf
     return -model.beta * h
+
+
+def _hamiltonian(model: TargetModel, y: np.ndarray, v: float) -> float:
+    """:func:`hamiltonian` of a state with momentum ``y`` and potential ``v``.
+
+    Unguarded: the caller holds ``np.errstate(over="ignore", invalid="ignore")``.
+    """
+    if not math.isfinite(v):
+        return math.inf
+    total = model.mass._kinetic(y) + v
+    return total if math.isfinite(total) else math.inf
+
+
+def _log_rho(model: TargetModel, z: PhaseState) -> float:
+    """:func:`log_rho` of a state that carries its potential (see :func:`_orbit_start`).
+
+    The same float that :func:`log_rho` computes.  Unguarded, like
+    :func:`_hamiltonian`, and without the dimension check.
+    """
+    h = _hamiltonian(model, z.y, z._potential[1])
+    if h == math.inf:
+        return -math.inf
+    return -model.beta * h
+
+
+def _carry_potential(model: TargetModel, z: PhaseState) -> None:
+    """Evaluate V at the position of ``z``, a state the kernel has just built, and attach it."""
+    object.__setattr__(z, "_potential", (model.potential, float(model.potential(z.x))))
+
+
+def _orbit_start(model: TargetModel, z: PhaseState) -> PhaseState:
+    """``z``, checked against the target, carrying V(z.x) for ``model.potential``.
+
+    A state the kernel built under this potential comes back as it is.  Any
+    other state (built by a caller, or carrying the value of another
+    potential) is left untouched, and a copy that carries the value is
+    returned.  Unguarded, like :func:`_hamiltonian`.
+    """
+    _check_dim(model, z)
+    carried = z._potential
+    if carried is not None and carried[0] is model.potential:
+        return z
+    start = _unchecked(PhaseState, x=z.x, y=z.y)
+    _carry_potential(model, start)
+    return start
 
 
 def _gaussian(dims: int, params: dict) -> tuple[Callable, Callable]:

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from xchmc.integrator import DivergedLeg, LegSpec, verlet_leg
-from xchmc.phase import PhaseState, TargetModel, _unchecked, flip, log_rho
+from xchmc.phase import (PhaseState, TargetModel, _carry_potential, _log_rho, _orbit_start,
+                         _unchecked, flip)
+from xchmc.phase import log_rho  # noqa: F401  (perfbench/tracing.py rebinds sampler.log_rho)
 from xchmc.rng import chain_rng
 
 __all__ = [
@@ -114,17 +116,29 @@ def slot_distribution(log_ratios) -> SlotDistribution:
     return SlotDistribution(sigma=sigma, p=p, log_sigma=log_sigma)
 
 
+def _log_ratio(log_k: float, log_ref: float) -> float:
+    """log rho(I^k z) - log rho(z); when rho(z) is zero, +inf for a candidate of
+    positive density and -inf otherwise."""
+    if log_ref == -math.inf:
+        return math.inf if log_k > -math.inf else -math.inf
+    return log_k - log_ref
+
+
 def _candidate_orbit(model: TargetModel, leg: LegSpec, z: PhaseState, count: int):
     """Integrate the candidate orbit I z, I^2 z, ... lazily, one leg per item.
 
     Yields ``(state, log_ratio, force_evals)`` for candidates 1..count, where
-    ``log_ratio`` is log rho(I^k z) - log rho(z).  When rho(z) is zero the
-    ratio is +inf for a candidate of positive density and -inf otherwise.  A
-    diverged leg yields ``(None, -inf, its partial force evaluations)`` and
-    ends the orbit: the later candidates are not integrated and have density
-    zero.
+    ``log_ratio`` is :func:`_log_ratio` of the candidate.  A diverged leg
+    yields ``(None, -inf, its partial force evaluations)`` and ends the orbit:
+    the later candidates are not integrated and have density zero.
+
+    ``z`` carries its potential (``phase._orbit_start``), and every yielded
+    state carries its own, so the potential is called once per integrated
+    candidate.  The caller holds ``np.errstate(over="ignore",
+    invalid="ignore")`` over the whole iteration: a guard entered here would
+    stay open while a consumer that stops early leaves the generator suspended.
     """
-    log_ref = log_rho(model, z)
+    log_ref = _log_rho(model, z)
     current = z
     for _ in range(count):
         try:
@@ -132,11 +146,8 @@ def _candidate_orbit(model: TargetModel, leg: LegSpec, z: PhaseState, count: int
         except DivergedLeg as err:
             yield None, -math.inf, err.force_evals
             return
-        log_k = log_rho(model, current)
-        if log_ref == -math.inf:
-            yield current, (math.inf if log_k > -math.inf else -math.inf), evals
-        else:
-            yield current, log_k - log_ref, evals
+        _carry_potential(model, current)
+        yield current, _log_ratio(_log_rho(model, current), log_ref), evals
 
 
 def _forward_log_ratios(model: TargetModel, leg: LegSpec, z: PhaseState,
@@ -146,8 +157,10 @@ def _forward_log_ratios(model: TargetModel, leg: LegSpec, z: PhaseState,
         raise ValueError("extra_chances must be an integer >= 0")
     count = int(extra_chances) + 1
     out = np.full(count, -math.inf)
-    for j, (_, log_ratio, _) in enumerate(_candidate_orbit(model, leg, z, count)):
-        out[j] = log_ratio
+    with np.errstate(over="ignore", invalid="ignore"):
+        orbit = _candidate_orbit(model, leg, _orbit_start(model, z), count)
+        for j, (_, log_ratio, _) in enumerate(orbit):
+            out[j] = log_ratio
     return out
 
 
@@ -181,7 +194,7 @@ def refresh_momentum(model: TargetModel, z: PhaseState, psi: float, rng) -> Phas
         raise ValueError("refresh noise must be finite")
     noise = model.mass._sqrt_mul(noise)
     c, s = _cos_sin(psi)
-    return _unchecked(PhaseState, x=z.x, y=c * z.y + s * noise)
+    return _unchecked(PhaseState, x=z.x, y=c * z.y + s * noise, _potential=z._potential)
 
 
 @dataclass(frozen=True)
@@ -224,6 +237,10 @@ def extra_chance_step(model: TargetModel, config: SamplerConfig, z: PhaseState,
     comparison, done in log space), and the momentum flip of the input is
     returned if none of the ``extra_chances + 1`` candidates does.  Diverged
     candidates count as density zero and are never accepted.
+
+    The returned state carries its potential, so a chain evaluates the
+    potential once per integrated candidate; the potential of ``z`` itself is
+    evaluated only when ``z`` does not carry it for ``model.potential``.
     """
     u, jitter = _acceptance_and_jitter_draws(rng, config.jitter_fraction)
     # SamplerConfig has checked the base step, the jitter fraction and the step
@@ -236,12 +253,14 @@ def extra_chance_step(model: TargetModel, config: SamplerConfig, z: PhaseState,
     chances = config.extra_chances + 1
     log_running = -math.inf
     evals = 0
-    for k, (state, log_ratio, n) in enumerate(_candidate_orbit(model, leg, z, chances), 1):
-        evals += n
-        log_running = max(log_running, min(0.0, log_ratio))
-        if log_ratio > -math.inf and log_u <= log_running:
-            return _unchecked(TransitionOutcome, next_state=state, slot=k,
-                              candidates_computed=k, force_evals=evals, u=u, dt=dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = _orbit_start(model, z)
+        for k, (state, log_ratio, n) in enumerate(_candidate_orbit(model, leg, z, chances), 1):
+            evals += n
+            log_running = max(log_running, min(0.0, log_ratio))
+            if log_ratio > -math.inf and log_u <= log_running:
+                return _unchecked(TransitionOutcome, next_state=state, slot=k,
+                                  candidates_computed=k, force_evals=evals, u=u, dt=dt)
     # Every candidate was rejected, or a leg diverged and the candidates from
     # it on count as density zero: either way all of them count as computed.
     return _unchecked(TransitionOutcome, next_state=flip(z), slot=chances + 1,

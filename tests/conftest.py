@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -41,3 +43,20 @@ def banana2d():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def counting():
+    """``counting(model)`` -> (model whose potential and gradient count their calls, counts)."""
+    def make(model):
+        calls = {"potential": 0, "gradient": 0}
+
+        def potential(x):
+            calls["potential"] += 1
+            return model.potential(x)
+
+        def gradient(x):
+            calls["gradient"] += 1
+            return model.gradient(x)
+        return dataclasses.replace(model, potential=potential, gradient=gradient), calls
+    return make

@@ -191,6 +191,16 @@ class TestSweepAndPlotData:
         assert code == 0
         assert dest.read_text().startswith("dt,ess_mean,ess_std")
 
+    def test_plot_data_writes_null_aggregates_as_empty_fields(self, tmp_path, capsys):
+        summary = tmp_path / "summary.json"
+        summary.write_text(json.dumps({
+            "spec": {"sweep_axis": "dt"},
+            "results": [{"value": 0.1, "aggregate": {"ess_mean": None, "ess_std": None}},
+                        {"value": 0.2, "aggregate": {"ess_mean": 12.5, "ess_std": None}},
+                        {"value": 0.3, "aggregate": {"ess_mean": 40.25, "ess_std": 3.0}}]}))
+        assert main(["plot-data", "--summary", str(summary)]) == 0
+        assert capsys.readouterr().out == "dt,ess_mean,ess_std\n0.1,,\n0.2,12.5,\n0.3,40.25,3.0\n"
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m_works(self):

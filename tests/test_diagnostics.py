@@ -4,10 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from xchmc import (Budget, LegSpec, PhaseState, SamplerConfig, TargetModel,
-                   ZeroVarianceError, check_main_identity, chain_rng, coordinate,
-                   ess_initial_monotone, estimate_average, interval_indicator,
-                   make_observable, run_chain, slot_stats, squared_radius)
+from xchmc import (Budget, DivergedLeg, LegSpec, PhaseState, SamplerConfig, TargetModel,
+                   ZeroVarianceError, builtin_target, check_main_identity, chain_rng,
+                   coordinate, ess_initial_monotone, estimate_average, flip,
+                   interval_indicator, log_rho, make_observable, run_chain, sigma_sequence,
+                   slot_stats, squared_radius, verlet_leg)
 
 
 def ar1_series(phi, n, seed):
@@ -110,6 +111,46 @@ class TestMainIdentity:
         for i in range(50):
             z = PhaseState(rng.standard_normal(2), rng.standard_normal(2))
             assert check_main_identity(dwell2d, LegSpec(0.15, 4), z, 1 + i % 3) <= 1e-8
+
+    @pytest.mark.parametrize("k,cost", [(1, 12), (2, 24), (4, 48)])
+    def test_one_orbit_per_side(self, counting, gauss2d, k, cost):
+        # 5-step legs cost 6 gradient evaluations: k legs from z, k from the mirror.
+        model, calls = counting(gauss2d)
+        leg = LegSpec(0.5, 5)
+        rng = np.random.default_rng(300 + k)
+        nonzero = 0
+        for _ in range(20):
+            z = PhaseState(rng.standard_normal(2), rng.standard_normal(2))
+            calls["gradient"] = 0
+            got = check_main_identity(model, leg, z, k)
+            assert calls["gradient"] == cost
+            assert got == self._two_orbit_discrepancy(gauss2d, leg, z, k)
+            nonzero += got > 0.0
+        assert nonzero > 0  # the comparison is not only of zeros
+
+    @staticmethod
+    def _two_orbit_discrepancy(model, leg, z, k):
+        """The discrepancy as computed before, through public calls only."""
+        current = z
+        for _ in range(k):
+            current, _ = verlet_leg(model, leg, current)
+        mirror = flip(current)
+        p_here = sigma_sequence(model, leg, z, k - 1).p[k - 1]
+        p_there = sigma_sequence(model, leg, mirror, k - 1).p[k - 1]
+        log_here, log_there = log_rho(model, z), log_rho(model, mirror)
+        ref = max(log_here, log_there)
+        if ref == -math.inf:
+            return 0.0
+        left = math.exp(log_here - ref) * p_here
+        right = math.exp(log_there - ref) * p_there
+        if left == right:
+            return 0.0
+        return abs(left - right) / max(abs(left), abs(right))
+
+    def test_diverged_orbit_raises(self):
+        dwell = builtin_target("double_well", 1)
+        with pytest.raises(DivergedLeg):
+            check_main_identity(dwell, LegSpec(2.0, 50), PhaseState([3.0], [0.0]), 2)
 
 
 class TestObservables:

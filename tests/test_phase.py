@@ -145,7 +145,7 @@ class TestMassMatrix:
     def test_identity_roundtrip(self, rng):
         m = MassMatrix.identity()
         v = rng.standard_normal(4)
-        assert np.array_equal(m.apply(v), v)
+        assert np.array_equal(m._mul(v), v)
         assert np.array_equal(m.apply_inverse(v), v)
         assert np.array_equal(m.sqrt_apply(v), v)
 
@@ -170,7 +170,7 @@ class TestMassMatrix:
     def test_inverse_roundtrip(self, mass, rng):
         for _ in range(10):
             v = rng.standard_normal(3)
-            back = mass.apply_inverse(mass.apply(v))
+            back = mass.apply_inverse(mass._mul(v))
             assert np.linalg.norm(back - v) <= 1e-12 * max(1.0, np.linalg.norm(v))
 
     def test_sqrt_factor_reproduces_matrix(self):
@@ -193,19 +193,20 @@ class TestMassMatrix:
         diagonal, dense = MassMatrix.diagonal(d), MassMatrix.dense(m)
         for _ in range(20):
             v = rng.standard_normal(4) * 10.0
-            assert np.array_equal(diagonal.apply(v), d * v)
+            assert np.array_equal(diagonal._mul(v), d * v)
             assert np.array_equal(diagonal.apply_inverse(v), v / d)
             assert np.array_equal(diagonal.sqrt_apply(v), np.sqrt(d) * v)
             assert diagonal.kinetic(v) == 0.5 * float(v @ (v / d))
-            assert np.array_equal(dense.apply(v), m @ v)
+            assert np.array_equal(dense._mul(v), m @ v)
             assert np.array_equal(dense.apply_inverse(v), np.linalg.inv(m) @ v)
             assert np.array_equal(dense.sqrt_apply(v), np.linalg.cholesky(m) @ v)
             assert dense.kinetic(v) == 0.5 * float(v @ (np.linalg.inv(m) @ v))
 
     def test_dimension_checked(self):
         mass = MassMatrix.diagonal([1.0, 2.0])
-        with pytest.raises(ValueError, match="dimension"):
-            mass.apply(np.zeros(3))
+        for product in (mass.apply_inverse, mass.sqrt_apply, mass.kinetic):
+            with pytest.raises(ValueError, match="dimension"):
+                product(np.zeros(3))
 
 
 class TestBuiltinTargets:

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -7,8 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from test_kernel_reference import walled
-from xchmc import (Budget, LegSpec, MassMatrix, PhaseState, SamplerConfig, ScriptedRng,
-                   TargetModel, builtin_target, chain_rng, couple_noise,
+import xchmc.sampler as sampler
+from xchmc import (Budget, DivergedLeg, LegSpec, MassMatrix, PhaseState, SamplerConfig,
+                   ScriptedRng, TargetModel, builtin_target, chain_rng, couple_noise,
                    ess_initial_monotone, extra_chance_step, flip, hamiltonian,
                    lahmc_from_log_ratios, lahmc_probabilities, log_rho,
                    palindromic_refresh_angle, refresh_momentum, run_chain,
@@ -269,6 +272,107 @@ class TestExtraChanceStep:
         assert np.array_equal(out.next_state.x, z.x)
         assert np.array_equal(out.next_state.y, -z.y)
         assert out.force_evals < 2 * 51  # legs were abandoned early
+
+
+class TestCarriedPotential:
+    @pytest.mark.parametrize("name,dims,dt,params", [
+        ("gaussian", 10, 0.4, {"variances": np.linspace(0.5, 6.0, 10)}),
+        ("double_well", 2, 0.5, {}),  # about 30 % of the legs diverge
+    ])
+    def test_one_potential_call_per_leg_and_one_per_chain(self, counting, monkeypatch,
+                                                          name, dims, dt, params):
+        model, calls = counting(builtin_target(name, dims, **params))
+        legs = {"integrated": 0, "diverged": 0}
+
+        def counted_leg(model, spec, z):
+            try:
+                out = verlet_leg(model, spec, z)
+            except DivergedLeg:
+                legs["diverged"] += 1
+                raise
+            legs["integrated"] += 1
+            return out
+
+        monkeypatch.setattr(sampler, "verlet_leg", counted_leg)
+        config = SamplerConfig(leg=LegSpec(dt, 5), psi=math.asin(0.4), extra_chances=3,
+                               jitter_fraction=0.05)
+        for chain in range(3):
+            calls["potential"] = legs["integrated"] = 0
+            run_chain(model, config, PhaseState(np.zeros(dims), np.full(dims, 0.5)),
+                      Budget(transitions=300, burn_in=10), rng=chain_rng(5, chain))
+            assert calls["potential"] == legs["integrated"] + 1
+        assert (legs["diverged"] > 0) == (name == "double_well")
+
+    def test_value_of_another_potential_is_recomputed(self, counting, gauss2d):
+        config = SamplerConfig(leg=LegSpec(0.3, 4), psi=math.pi / 2, extra_chances=2)
+        start = PhaseState([0.4, -1.1], [0.9, 0.3])
+        carried = extra_chance_step(gauss2d, config, start, ScriptedRng(uniforms=[0.0]))
+        assert carried.slot == 1
+        other, calls = counting(builtin_target("gaussian", 2, variances=[2.0, 0.5]))
+        outcomes = []
+        for state in (carried.next_state, PhaseState(carried.next_state.x,
+                                                     carried.next_state.y)):
+            calls["potential"] = 0
+            out = extra_chance_step(other, config, state, chain_rng(9))
+            assert calls["potential"] == out.candidates_computed + 1
+            outcomes.append(out)
+        a, b = outcomes
+        assert (a.slot, a.candidates_computed, a.force_evals, a.u, a.dt) == \
+            (b.slot, b.candidates_computed, b.force_evals, b.u, b.dt)
+        assert np.array_equal(a.next_state.x, b.next_state.x)
+        assert np.array_equal(a.next_state.y, b.next_state.y)
+        # A state the kernel built under this potential is not evaluated again.
+        calls["potential"] = 0
+        out = extra_chance_step(other, config, a.next_state, chain_rng(10))
+        assert calls["potential"] == out.candidates_computed
+
+    def test_kernel_states_compare_print_and_pickle_as_before(self, gauss2d):
+        config = SamplerConfig(leg=LegSpec(0.3, 4), psi=math.pi / 2, extra_chances=2)
+        out = extra_chance_step(gauss2d, config, PhaseState([0.4, -1.1], [0.9, 0.3]),
+                                ScriptedRng(uniforms=[0.0]))
+        accepted = out.next_state
+        refreshed = refresh_momentum(gauss2d, accepted, 0.4, np.random.default_rng(2))
+        for state in (accepted, flip(accepted), refreshed):
+            assert state._potential is not None
+            plain = PhaseState(state.x, state.y)
+            assert state == plain
+            assert repr(state) == repr(plain)
+            assert pickle.dumps(state) == pickle.dumps(plain)
+            for back in (pickle.loads(pickle.dumps(state)), copy.deepcopy(state)):
+                assert back._potential is None
+                assert np.array_equal(back.x, state.x) and np.array_equal(back.y, state.y)
+
+
+class TestDensityGuard:
+    """The transition holds one np.errstate and leaves the caller's settings as they were."""
+
+    def _outcome(self, case):
+        if case == "slot-1 acceptance":
+            model, z = builtin_target("gaussian", 2), PhaseState([0.4, -1.1], [0.9, 0.3])
+            config = SamplerConfig(leg=LegSpec(0.3, 4), psi=math.pi / 2, extra_chances=3)
+            return extra_chance_step(model, config, z, ScriptedRng(uniforms=[0.0])), 1
+        if case == "flip":
+            model, z = builtin_target("gaussian", 1), PhaseState([1.5], [1.7])
+            config = SamplerConfig(leg=LegSpec(1.5, 1), psi=math.pi / 2, extra_chances=1)
+            return extra_chance_step(model, config, z, ScriptedRng(uniforms=[0.9999])), 3
+        model, z = builtin_target("double_well", 1), PhaseState([3.0], [0.0])
+        config = SamplerConfig(leg=LegSpec(2.0, 50), psi=math.pi / 2, extra_chances=1)
+        return extra_chance_step(model, config, z, ScriptedRng(uniforms=[0.0])), 3
+
+    @pytest.mark.parametrize("case", ["slot-1 acceptance", "flip", "diverged leg"])
+    def test_error_settings_restored(self, case):
+        for settings in ({}, {"all": "raise", "under": "ignore"}):
+            with np.errstate(**settings):
+                before = np.geterr()
+                out, slot = self._outcome(case)
+                assert np.geterr() == before
+            assert out.slot == slot
+
+    def test_eager_orbit_restores_error_settings(self, dwell1d):
+        before = np.geterr()
+        sd = sigma_sequence(dwell1d, LegSpec(2.0, 50), PhaseState([3.0], [0.0]), 2)
+        assert np.geterr() == before
+        assert np.all(sd.sigma == 0.0)
 
 
 class TestAcceptanceAndJitterDraws:

@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
-from xchmc import verify
-from xchmc.verification import SUITES, CheckOutcome
+from xchmc import LegSpec, PhaseState, lahmc_probabilities, sigma_sequence, verify
+from xchmc.verification import SUITES, CheckOutcome, _lahmc_gap
 
 
 def test_suite_names():
@@ -39,3 +40,18 @@ def test_coupling_suite_passes_quickly():
     report = verify("palindromic_coupling")
     assert report.passed
     assert report.outcomes[0].checks >= 3
+
+
+def test_lookahead_triple_integrates_its_orbit_once(counting, gauss2d):
+    # extra = 3: four 3-step legs of 4 gradient evaluations each, for both sides.
+    model, calls = counting(gauss2d)
+    leg = LegSpec(0.2, 3)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        z = PhaseState(rng.standard_normal(2), rng.standard_normal(2))
+        calls["gradient"] = 0
+        gap = _lahmc_gap(model, leg, z, 3)
+        assert calls["gradient"] == 16
+        sigma = sigma_sequence(gauss2d, leg, z, 3).sigma
+        _, cumulative = lahmc_probabilities(gauss2d, leg, z, 3)
+        assert gap == float(np.max(np.abs(sigma - cumulative)))
