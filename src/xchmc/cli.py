@@ -113,13 +113,16 @@ def _cmd_sweep(args) -> int:
     report = run_experiment(spec, workers=args.workers)
     for block in report.results:
         agg = block["aggregate"]
-        ess_mean = agg["ess_mean"]
-        ess_txt = "n/a" if ess_mean is None else f"{ess_mean:.1f}"
-        print(f"{spec.sweep_axis}={block['value']}: ess_mean={ess_txt} "
-              f"slot_means={agg['slot_means']}")
+        ess_mean, ess_stderr = ("n/a" if agg[k] is None else f"{agg[k]:.1f}"
+                                for k in ("ess_mean", "ess_stderr"))
+        print(f"{spec.sweep_axis}={block['value']}: ess_mean={ess_mean} "
+              f"ess_stderr={ess_stderr} slot_means={agg['slot_means']}")
     if spec.out_dir:
         print(f"summary written to {Path(spec.out_dir) / 'summary.json'}")
-    return EXIT_OK
+    failed = [e for block in report.results for e in block["replicas"] if "error" in e]
+    for entry in failed:
+        print(f"replica {entry['seed']} failed: {entry['error']}", file=sys.stderr)
+    return EXIT_RUNTIME if failed else EXIT_OK
 
 
 def _cmd_verify(args) -> int:

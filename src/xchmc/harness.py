@@ -206,9 +206,15 @@ def parse_spec(raw: dict) -> ExperimentSpec:
     burn_in = _as_positive_int(raw.get("burn_in", 500), "burn_in")
     seed = _as_positive_int(raw.get("seed", 0), "seed")
     observable = raw.get("observable", "x0")
+    # Evaluated once at the origin, so that every replica can evaluate it.
     try:
-        make_observable(observable)
-    except ValueError as exc:
+        make_observable(observable).fn(np.zeros(dims))
+    except IndexError:
+        raise SpecError("observable",
+                        f"reads a coordinate outside the target's {dims} dimensions") from None
+    except KeyError as exc:
+        raise SpecError("observable", f"needs the key {exc}") from None
+    except (TypeError, ValueError) as exc:
         raise SpecError("observable", str(exc)) from None
     out_dir = raw.get("out_dir")
     _require(out_dir is None or isinstance(out_dir, str), "out_dir", "must be a string path")
@@ -392,10 +398,13 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> SummaryReport:
     """Run the full sweep: replicas x sweep values, aggregation, and reporting.
 
     Every (value, replica) cell runs on its own deterministic sub-stream, so
-    results do not depend on scheduling or on ``workers``.  Per-replica
-    failures are recorded in place of their entry.  When ``spec.out_dir`` is
-    set, one CSV per replica plus ``summary.json`` are written there.
+    results do not depend on scheduling or on ``workers``, which must be at
+    least 1.  Per-replica failures are recorded in place of their entry.
+    When ``spec.out_dir`` is set, one CSV per replica plus ``summary.json``
+    are written there.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, not {workers}")
     spec_payload = _spec_payload(spec)
     payloads = [
         {"spec": spec_payload, "value": value, "value_index": i, "replica": r}

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from xchmc.phase import PhaseState, TargetModel, _all_finite, _unchecked, flip
+from xchmc.phase import PhaseState, TargetModel, _all_finite, _check_dim, _unchecked, flip
 
 __all__ = [
     "LegSpec",
@@ -67,8 +67,7 @@ def verlet_leg(model: TargetModel, spec: LegSpec, z: PhaseState) -> tuple[PhaseS
     place, and the position is never updated in place (a gradient may return
     its argument).
     """
-    if z.x.shape[0] != model.dim:
-        raise ValueError(f"state dimension {z.dim} does not match target dimension {model.dim}")
+    _check_dim(model, z)
     dt = spec.dt
     half_dt = 0.5 * dt
     steps = spec.steps

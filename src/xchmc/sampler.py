@@ -15,13 +15,13 @@ extra-chance legs of that transition, so the composed leg map stays reversible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from xchmc.integrator import DivergedLeg, LegSpec, verlet_leg
-from xchmc.phase import (PhaseState, TargetModel, _carry_potential, _log_rho, _orbit_start,
-                         _unchecked, flip)
+from xchmc.phase import (PhaseState, TargetModel, _carry_potential, _check_dim, _log_rho,
+                         _orbit_start, _unchecked, flip)
 from xchmc.phase import log_rho  # noqa: F401  (perfbench/tracing.py rebinds sampler.log_rho)
 from xchmc.rng import chain_rng
 
@@ -54,6 +54,17 @@ def _cos_sin(angle: float) -> tuple[float, float]:
     return math.cos(angle), math.sin(angle)
 
 
+def _check_psi(psi: float) -> None:
+    if not (0.0 < psi <= _HALF_PI):
+        raise ValueError("psi must lie in (0, pi/2]")
+
+
+def _check_extra_chances(extra_chances) -> int:
+    if int(extra_chances) != extra_chances or extra_chances < 0:
+        raise ValueError("extra_chances must be an integer >= 0")
+    return int(extra_chances)
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Static parameters of one chain."""
@@ -65,11 +76,8 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.psi <= _HALF_PI):
-            raise ValueError("psi must lie in (0, pi/2]")
-        if int(self.extra_chances) != self.extra_chances or self.extra_chances < 0:
-            raise ValueError("extra_chances must be an integer >= 0")
-        object.__setattr__(self, "extra_chances", int(self.extra_chances))
+        _check_psi(self.psi)
+        object.__setattr__(self, "extra_chances", _check_extra_chances(self.extra_chances))
         if not (0.0 <= self.jitter_fraction < 1.0):
             raise ValueError("jitter_fraction must lie in [0, 1)")
 
@@ -153,9 +161,7 @@ def _candidate_orbit(model: TargetModel, leg: LegSpec, z: PhaseState, count: int
 def _forward_log_ratios(model: TargetModel, leg: LegSpec, z: PhaseState,
                         extra_chances: int) -> np.ndarray:
     """log rho(I^j z) - log rho(z), j = 1..extra_chances + 1; -inf from a diverged leg on."""
-    if int(extra_chances) != extra_chances or extra_chances < 0:
-        raise ValueError("extra_chances must be an integer >= 0")
-    count = int(extra_chances) + 1
+    count = _check_extra_chances(extra_chances) + 1
     out = np.full(count, -math.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         orbit = _candidate_orbit(model, leg, _orbit_start(model, z), count)
@@ -182,10 +188,8 @@ def refresh_momentum(model: TargetModel, z: PhaseState, psi: float, rng) -> Phas
     through untouched.  The noise comes from the caller's ``rng`` and must be
     finite.
     """
-    if not (0.0 < psi <= _HALF_PI):
-        raise ValueError("psi must lie in (0, pi/2]")
-    if z.x.shape[0] != model.dim:
-        raise ValueError(f"state dimension {z.dim} does not match target dimension {model.dim}")
+    _check_psi(psi)
+    _check_dim(model, z)
     noise = np.asarray(rng.standard_normal(z.x.shape[0]), dtype=float)
     # phase._all_finite's test, but outside the leg's np.errstate: np.vdot, unlike
     # ndarray.dot, does not warn when huge finite noise overflows the sum of squares.
@@ -318,34 +322,43 @@ class ChainRecord:
         return int(self.force_evals.sum())
 
 
-class _Recorder:
-    def __init__(self, z0: PhaseState):
-        self.xs = [z0.x]
-        self.ys = [z0.y]
-        self.slots: list[int] = []
-        self.candidates: list[int] = []
-        self.evals: list[int] = []
-        self.dts: list[float] = []
+def _drive(model: TargetModel, transition, z0: PhaseState, budget: Budget,
+           extra_chances: int) -> ChainRecord:
+    """Run ``transition`` (a state to its :class:`TransitionOutcome`) from ``z0``.
 
-    def add(self, out: TransitionOutcome) -> None:
-        self.xs.append(out.next_state.x)
-        self.ys.append(out.next_state.y)
-        self.slots.append(out.slot)
-        self.candidates.append(out.candidates_computed)
-        self.evals.append(out.force_evals)
-        self.dts.append(out.dt)
-
-    def finish(self, extra_chances: int, burn_in: int) -> ChainRecord:
-        return ChainRecord(
-            positions=np.array(self.xs),
-            momenta=np.array(self.ys),
-            slots=np.array(self.slots, dtype=int),
-            candidates=np.array(self.candidates, dtype=int),
-            force_evals=np.array(self.evals, dtype=int),
-            dt_used=np.array(self.dts),
-            extra_chances=extra_chances,
-            burn_in=burn_in,
-        )
+    The ``budget.burn_in`` transitions are discarded.  The recorded chain then
+    runs until it has made ``budget.transitions`` transitions or, under a
+    force-evaluation budget, until the evaluations spent meet or exceed it.
+    """
+    _check_dim(model, z0)
+    z = z0
+    for _ in range(budget.burn_in):
+        z = transition(z).next_state
+    max_transitions = math.inf if budget.transitions is None else budget.transitions
+    max_evals = math.inf if budget.force_evals is None else budget.force_evals
+    xs, ys = [z.x], [z.y]
+    slots, candidates, evals, dts = [], [], [], []
+    spent = 0
+    while len(slots) < max_transitions and spent < max_evals:
+        out = transition(z)
+        z = out.next_state
+        xs.append(z.x)
+        ys.append(z.y)
+        slots.append(out.slot)
+        candidates.append(out.candidates_computed)
+        evals.append(out.force_evals)
+        dts.append(out.dt)
+        spent += out.force_evals
+    return ChainRecord(
+        positions=np.array(xs),
+        momenta=np.array(ys),
+        slots=np.array(slots, dtype=int),
+        candidates=np.array(candidates, dtype=int),
+        force_evals=np.array(evals, dtype=int),
+        dt_used=np.array(dts),
+        extra_chances=extra_chances,
+        burn_in=budget.burn_in,
+    )
 
 
 def run_chain(model: TargetModel, config: SamplerConfig, z0: PhaseState, budget: Budget,
@@ -356,8 +369,6 @@ def run_chain(model: TargetModel, config: SamplerConfig, z0: PhaseState, budget:
     chain_index)``, making records bit-identical across runs with the same
     seed and configuration.
     """
-    if z0.dim != model.dim:
-        raise ValueError(f"start dimension {z0.dim} does not match target dimension {model.dim}")
     if rng is None:
         rng = chain_rng(config.seed, chain_index)
 
@@ -365,23 +376,7 @@ def run_chain(model: TargetModel, config: SamplerConfig, z0: PhaseState, budget:
         zbar = refresh_momentum(model, z, config.psi, rng)
         return extra_chance_step(model, config, zbar, rng)
 
-    z = z0
-    for _ in range(budget.burn_in):
-        z = transition(z).next_state
-    rec = _Recorder(z)
-    if budget.transitions is not None:
-        for _ in range(budget.transitions):
-            out = transition(z)
-            rec.add(out)
-            z = out.next_state
-    else:
-        spent = 0
-        while spent < budget.force_evals:
-            out = transition(z)
-            rec.add(out)
-            z = out.next_state
-            spent += out.force_evals
-    return rec.finish(config.extra_chances, budget.burn_in)
+    return _drive(model, transition, z0, budget, config.extra_chances)
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +461,7 @@ def lahmc_probabilities(model: TargetModel, leg: LegSpec, z: PhaseState,
 
 def palindromic_refresh_angle(psi: float) -> float:
     """Half-step refresh angle: the PSI in (0, pi/2] with cos(PSI)^2 = cos(psi)."""
-    if not (0.0 < psi <= _HALF_PI):
-        raise ValueError("psi must lie in (0, pi/2]")
+    _check_psi(psi)
     if psi == _HALF_PI:
         return _HALF_PI
     return math.acos(math.sqrt(math.cos(psi)))
@@ -483,22 +477,16 @@ def run_palindromic_chain(model: TargetModel, config: SamplerConfig, z0: PhaseSt
     every invariant with :func:`run_chain`; the two chains visit identically
     distributed position marginals.
     """
-    if int(transitions) != transitions or transitions < 0:
-        raise ValueError("transitions must be a non-negative integer")
-    if z0.dim != model.dim:
-        raise ValueError(f"start dimension {z0.dim} does not match target dimension {model.dim}")
+    budget = Budget(transitions=transitions)
     if rng is None:
         rng = chain_rng(config.seed, chain_index)
     half = palindromic_refresh_angle(config.psi)
-    rec = _Recorder(z0)
-    z = z0
-    for _ in range(int(transitions)):
-        zbar = refresh_momentum(model, z, half, rng)
-        out = extra_chance_step(model, config, zbar, rng)
-        z = refresh_momentum(model, out.next_state, half, rng)
-        rec.add(TransitionOutcome(z, out.slot, out.candidates_computed,
-                                  out.force_evals, out.u, out.dt))
-    return rec.finish(config.extra_chances, 0)
+
+    def transition(z: PhaseState) -> TransitionOutcome:
+        out = extra_chance_step(model, config, refresh_momentum(model, z, half, rng), rng)
+        return replace(out, next_state=refresh_momentum(model, out.next_state, half, rng))
+
+    return _drive(model, transition, z0, budget, config.extra_chances)
 
 
 def couple_noise(psi: float, initial_momentum, pre_refresh_noise, post_refresh_noise

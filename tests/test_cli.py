@@ -162,8 +162,29 @@ class TestSweepAndPlotData:
         assert code == 0
         out = capsys.readouterr().out
         assert "dt=0.3" in out and "dt=0.5" in out
+        assert "ess_stderr=" in out
         assert (out_dir / "summary.json").exists()
         assert (out_dir / "dt_01_rep01.csv").exists()
+
+    def test_failed_replica_exits_three_and_names_its_seed(self, tmp_path, capsys):
+        # 20 force evals -> 4 transitions, far too short for an ESS estimate
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"target": "gaussian", "dims": 1, "sweep": "dt",
+                                    "values": [0.3], "fixed": {"L": 4}, "replicas": 2,
+                                    "budget_force_evals": 20, "burn_in": 0, "seed": 7,
+                                    "out_dir": str(tmp_path / "runs")}))
+        assert main(["sweep", "--spec", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "replica [7, 0, 0] failed" in err and "replica [7, 0, 1] failed" in err
+        assert "10 points" in err
+        assert (tmp_path / "runs" / "summary.json").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_count_below_one_is_usage_error(self, sweep_spec, workers, capsys):
+        spec_path, out_dir = sweep_spec
+        assert main(["sweep", "--spec", str(spec_path), "--workers", workers]) == 1
+        assert "workers" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_invalid_spec_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from xchmc import (Budget, PhaseState, SpecError, builtin_target, chain_rng,
 from xchmc.cli import main
 from xchmc.harness import _config_for
 
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 MINIMAL = {"target": "gaussian", "dims": 1, "sweep": "dt", "values": [0.3],
            "fixed": {"L": 4}}
 
@@ -89,6 +91,10 @@ class TestParseSpec:
         ({**MINIMAL, "sweep": "sin_psi", "values": [0.5, True], "fixed": {"dt": 0.2, "L": 4}},
          "sweep.values[1]"),
         ({**MINIMAL, "fixed": {"L": 4, "jitter": False}}, "fixed.jitter"),
+        ({**MINIMAL, "dims": 2, "observable": "x5"}, "observable"),
+        ({**MINIMAL, "observable": {"kind": "indicator", "index": 1, "lo": 0, "hi": 1}},
+         "observable"),
+        ({**MINIMAL, "observable": {"kind": "coordinate"}}, "observable"),
     ])
     def test_malformed_field_is_a_spec_error(self, tmp_path, raw, field):
         with pytest.raises(SpecError) as err:
@@ -152,6 +158,10 @@ class TestParseSpec:
         path.write_text(json.dumps(MINIMAL))
         assert load_spec(path) == parse_spec(MINIMAL)
 
+    @pytest.mark.parametrize("path", sorted(SPECS.glob("*.json")), ids=lambda p: p.name)
+    def test_committed_specs_load(self, path):
+        assert load_spec(path).out_dir is None
+
     def test_load_spec_reports_bad_json(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text("{not json")
@@ -209,6 +219,11 @@ class TestRunExperiment:
         serial = run_experiment(spec, workers=1)
         parallel = run_experiment(spec, workers=2)
         assert serial.json_bytes() == parallel.json_bytes()
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            run_experiment(tiny_spec(), workers=workers)
 
     def test_worker_count_does_not_change_output_files(self, tmp_path):
         # CSVs are written as each replica's result arrives; the files must

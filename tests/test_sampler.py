@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import pickle
 import warnings
@@ -681,3 +682,132 @@ class TestSlotStatsIntegration:
         ahead = chain(3, 52)
         assert ahead.total_acceptance > plain.total_acceptance
         assert ahead.flip_fraction < plain.flip_fraction
+
+
+# ---------------------------------------------------------------------------
+# The chain drivers against hand loops over the public kernel calls
+# ---------------------------------------------------------------------------
+
+def driver_case(name):
+    """``(model, config, z0, hand_rng, driver_kwargs, divergences)`` of one pinned case.
+
+    ``hand_rng`` feeds the hand loop; ``driver_kwargs`` gives the driver the
+    same stream, either as its default stream or as an identical copy.
+    ``divergences`` lists the non-finite gradients the model has returned.
+    """
+    divergences = []
+    if name == "seeded":
+        model = builtin_target("gaussian", 2, variances=[1.0, 4.0])
+        config = SamplerConfig(leg=LegSpec(0.5, 4), psi=math.asin(0.6), extra_chances=2,
+                               jitter_fraction=0.05, seed=31)
+        return (model, config, PhaseState([0.4, -1.2], [0.7, 0.1]), chain_rng(31, 2),
+                {"chain_index": 2}, divergences)
+    if name == "scripted":
+        model = builtin_target("banana", 2, curvature=0.5)
+        config = SamplerConfig(leg=LegSpec(0.45, 3), psi=math.asin(0.7), extra_chances=1,
+                               jitter_fraction=0.1)
+        draws = np.random.default_rng(8)
+        script = {"normals": draws.standard_normal(2 * 2 * 400),
+                  "uniforms": draws.random(400), "jitters": draws.uniform(-0.1, 0.1, 400)}
+        return (model, config, PhaseState([0.2, 0.3], [-0.5, 0.9]), ScriptedRng(**script),
+                {"rng": ScriptedRng(**script)}, divergences)
+    base = builtin_target("double_well", 2)
+
+    def gradient(x):
+        g = base.gradient(x)
+        if not np.isfinite(g).all():
+            divergences.append(x)
+        return g
+
+    model = TargetModel(dim=2, potential=base.potential, gradient=gradient)
+    config = SamplerConfig(leg=LegSpec(0.4, 6), psi=math.asin(0.8), extra_chances=2,
+                           jitter_fraction=0.1, seed=9)
+    return (model, config, PhaseState([1.0, -1.0], [0.3, 0.2]), chain_rng(9, 0),
+            {"rng": chain_rng(9, 0)}, divergences)
+
+
+def hand_run_chain(model, config, z0, rng, force_evals, burn_in):
+    """``run_chain`` under ``Budget(force_evals=..., burn_in=...)``, written out."""
+    def transition(z):
+        return extra_chance_step(model, config, refresh_momentum(model, z, config.psi, rng), rng)
+
+    z = z0
+    for _ in range(burn_in):
+        z = transition(z).next_state
+    states, outcomes, spent = [z], [], 0
+    while spent < force_evals:
+        out = transition(z)
+        z = out.next_state
+        states.append(z)
+        outcomes.append(out)
+        spent += out.force_evals
+    return states, outcomes
+
+
+def hand_palindromic_chain(model, config, z0, rng, transitions):
+    """``run_palindromic_chain``, written out: half refresh, step, half refresh."""
+    half = palindromic_refresh_angle(config.psi)
+    states, outcomes, z = [z0], [], z0
+    for _ in range(transitions):
+        out = extra_chance_step(model, config, refresh_momentum(model, z, half, rng), rng)
+        z = refresh_momentum(model, out.next_state, half, rng)
+        states.append(z)
+        outcomes.append(out)
+    return states, outcomes
+
+
+def assert_record_is(rec, states, outcomes, extra_chances, burn_in):
+    expected = {
+        "positions": np.array([z.x for z in states]),
+        "momenta": np.array([z.y for z in states]),
+        "slots": np.array([o.slot for o in outcomes], dtype=int),
+        "candidates": np.array([o.candidates_computed for o in outcomes], dtype=int),
+        "force_evals": np.array([o.force_evals for o in outcomes], dtype=int),
+        "dt_used": np.array([o.dt for o in outcomes]),
+    }
+    # The field order and dtypes are part of the record: digests hash them in order.
+    assert [f.name for f in dataclasses.fields(rec)] == [*expected, "extra_chances", "burn_in"]
+    for name, want in expected.items():
+        got = getattr(rec, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+    assert (rec.extra_chances, rec.burn_in) == (extra_chances, burn_in)
+
+
+class TestDriverAgainstHandLoop:
+    @pytest.mark.parametrize("case", ["seeded", "scripted", "diverging"])
+    def test_force_budget_chain_is_the_hand_loop(self, case):
+        model, config, z0, hand_rng, kwargs, divergences = driver_case(case)
+        budget = Budget(force_evals=700, burn_in=6)
+        rec = run_chain(model, config, z0, budget, **kwargs)
+        seen = len(divergences)
+        states, outcomes = hand_run_chain(model, config, z0, hand_rng, 700, 6)
+        assert_record_is(rec, states, outcomes, config.extra_chances, 6)
+        assert rec.transitions > 20
+        if case == "diverging":
+            assert seen > 0 and len(divergences) == 2 * seen
+            assert 0 < (rec.slots == config.extra_chances + 2).mean() < 1
+
+    @pytest.mark.parametrize("case", ["seeded", "scripted", "diverging"])
+    def test_palindromic_chain_is_the_hand_loop(self, case):
+        model, config, z0, hand_rng, kwargs, divergences = driver_case(case)
+        rec = run_palindromic_chain(model, config, z0, 40, **kwargs)
+        seen = len(divergences)
+        states, outcomes = hand_palindromic_chain(model, config, z0, hand_rng, 40)
+        assert_record_is(rec, states, outcomes, config.extra_chances, 0)
+        if case == "diverging":
+            assert seen > 0 and len(divergences) == 2 * seen
+
+    def test_palindromic_transition_count_is_checked(self, gauss1d):
+        config = SamplerConfig(leg=LegSpec(0.1, 2), psi=1.0)
+        for bad in (-1, 2.5):
+            with pytest.raises(ValueError, match="transitions must be a non-negative integer"):
+                run_palindromic_chain(gauss1d, config, PhaseState([0.0], [1.0]), bad)
+
+    @pytest.mark.parametrize("chain", ["run_chain", "run_palindromic_chain"])
+    def test_start_dimension_is_checked_before_any_draw(self, gauss2d, chain):
+        config = SamplerConfig(leg=LegSpec(0.1, 2), psi=1.0)
+        budget = Budget(transitions=0) if chain == "run_chain" else 0
+        with pytest.raises(ValueError, match="dimension"):
+            getattr(sampler, chain)(gauss2d, config, PhaseState([0.0], [1.0]), budget,
+                                    rng=ScriptedRng())
