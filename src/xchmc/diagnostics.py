@@ -10,7 +10,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from xchmc.integrator import LegSpec, verlet_leg
-from xchmc.phase import PhaseState, TargetModel, flip, log_rho
+from xchmc.phase import PhaseState, TargetModel, _carry_potential, _log_rho, _orbit_start, flip
+from xchmc.phase import log_rho  # noqa: F401  (perfbench/tracing.py rebinds diagnostics.log_rho)
 from xchmc.sampler import ChainRecord, _log_ratio, sigma_sequence, slot_distribution
 
 __all__ = [
@@ -123,17 +124,23 @@ def check_main_identity(model: TargetModel, leg: LegSpec, z: PhaseState, k: int)
     unknown normalizer.  Returns |left - right| / max(|left|, |right|), and 0
     when both sides vanish.  A diverged leg of the orbit of z raises
     DivergedLeg so the caller can skip the point explicitly.
+
+    The orbit of z carries each potential it evaluates (``phase._orbit_start``)
+    under one ``np.errstate`` guard, and the mirror hands its potential on to
+    the mirror's own orbit, so each distinct position costs one potential call.
     """
     if int(k) != k or k < 1:
         raise ValueError("k must be an integer >= 1")
     k = int(k)
-    log_here = log_rho(model, z)
     log_ratios = np.empty(k)
-    current = z
-    for j in range(k):
-        current, _ = verlet_leg(model, leg, current)
-        log_there = log_rho(model, current)
-        log_ratios[j] = _log_ratio(log_there, log_here)
+    with np.errstate(over="ignore", invalid="ignore"):
+        current = _orbit_start(model, z)
+        log_here = _log_rho(model, current)
+        for j in range(k):
+            current, _ = verlet_leg(model, leg, current)
+            _carry_potential(model, current)
+            log_there = _log_rho(model, current)
+            log_ratios[j] = _log_ratio(log_there, log_here)
     p_here = slot_distribution(log_ratios).p[k - 1]
     p_there = sigma_sequence(model, leg, flip(current), k - 1).p[k - 1]
     ref = max(log_here, log_there)

@@ -109,8 +109,11 @@ def check_volume_preservation(model: TargetModel, spec: LegSpec, z: PhaseState,
     """|det J - 1| for the leg's Jacobian, estimated by central differences.
 
     The Jacobian of the full phase-space map (x, y) -> I(x, y) is formed column
-    by column with perturbation ``step`` per coordinate.
+    by column with perturbation ``step`` per coordinate, which must be
+    positive and finite.
     """
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError("step must be positive and finite")
     d = z.dim
     base = np.concatenate([z.x, z.y])
 

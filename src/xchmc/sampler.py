@@ -109,17 +109,18 @@ def slot_distribution(log_ratios) -> SlotDistribution:
     lr = np.atleast_1d(np.asarray(log_ratios, dtype=float))
     if lr.ndim != 1 or lr.size == 0:
         raise ValueError("log_ratios must be a non-empty vector")
-    log_sigma = np.empty(lr.size)
+    thresholds = []
     running = -math.inf
-    for j, delta in enumerate(lr):
+    for delta in lr.tolist():
         if math.isnan(delta):
             delta = -math.inf  # 0/0 density ratio: such a candidate is never accepted
-        running = max(running, min(0.0, float(delta)))
-        log_sigma[j] = running
+        running = max(running, min(0.0, delta))
+        thresholds.append(running)
+    log_sigma = np.array(thresholds)
     sigma = np.exp(log_sigma)
     p = np.empty(lr.size + 1)
     p[0] = sigma[0]
-    p[1:-1] = np.diff(sigma)
+    p[1:-1] = sigma[1:] - sigma[:-1]
     p[-1] = 1.0 - sigma[-1]
     return SlotDistribution(sigma=sigma, p=p, log_sigma=log_sigma)
 
@@ -391,12 +392,17 @@ def lahmc_from_log_ratios(log_ratios) -> tuple[np.ndarray, np.ndarray]:
         pi_k(z) = min(1 - sum_(j<k) pi_j(z),
                       (rho(F I^k z) / rho(z)) (1 - sum_(j<k) pi_j(F I^k z)))
 
-    and is evaluated here by literal recursion over phase points of the form
-    F^a I^m z, using only that the leg map is reversible (I^-1 = F I F) and
-    that rho is flip-invariant, so every density it touches reduces to one of
-    the forward values rho(I^m z).  This is an independent route to the slot
-    probabilities: its cumulative sums must reproduce ``sigma`` from
-    :func:`slot_distribution`.
+    and recurses over phase points of the form F^a I^m z, using only that the
+    leg map is reversible (I^-1 = F I F) and that rho is flip-invariant, so
+    every density it touches reduces to one of the forward values rho(I^m z).
+    This is an independent route to the slot probabilities: its cumulative
+    sums must reproduce ``sigma`` from :func:`slot_distribution`.
+
+    The recursion is evaluated as a table, in order of k.  Each orbit point
+    the recursion reaches has a row holding its running sum_(j<k) pi_j, added
+    left to right, and level k computes the k-th entry of every such row from
+    the sums of levels 1..k-1.  So every entry is the same float the literal
+    recursion computes.
 
     A ratio of +inf means that rho(z) is zero (see :func:`_candidate_orbit`).
     The ratios then hold no density ratio between orbit points of positive
@@ -410,42 +416,42 @@ def lahmc_from_log_ratios(log_ratios) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("log_ratios must be a non-empty vector")
     kmax = lr.size
     # Log density at orbit points I^m z relative to rho(z), m = 0..kmax.
-    fwd = np.concatenate([[0.0], lr])
-    fwd[np.isnan(fwd)] = -math.inf
-    if fwd.max() == math.inf:
+    fwd = [0.0] + [-math.inf if math.isnan(v) else v for v in lr.tolist()]
+    if math.inf in fwd:
         probs = np.zeros(kmax)
-        probs[np.argmax(fwd[1:] > -math.inf)] = 1.0
+        probs[next(m for m in range(kmax) if fwd[m + 1] > -math.inf)] = 1.0
         return probs, np.cumsum(probs)
-    memo: dict[tuple[int, int, bool], float] = {}
-
-    def pi(k: int, m: int, flipped: bool) -> float:
-        # Probability that the point w = F^flipped I^m z hands the chain to its
-        # k-th forward candidate.
-        key = (k, m, flipped)
-        if key in memo:
-            return memo[key]
-        # Target point F(I^k w), reduced back to the forward orbit.
-        tm = m - k if flipped else m + k
-        tflip = not flipped
-        if not 0 <= tm <= kmax:
-            raise RuntimeError("orbit index out of range; inconsistent recursion")
-        rem_w = 1.0 - sum(pi(j, m, flipped) for j in range(1, k))
-        rem_t = 1.0 - sum(pi(j, tm, tflip) for j in range(1, k))
-        rem_w = max(0.0, rem_w)
-        rem_t = max(0.0, rem_t)
-        log_num = fwd[tm]
-        log_den = fwd[m]
-        if rem_t == 0.0 or log_num == -math.inf:
-            second = 0.0
-        elif log_den == -math.inf:
-            second = math.inf
-        else:
-            second = math.exp(min(700.0, log_num - log_den)) * rem_t
-        val = min(rem_w, second)
-        memo[key] = val
-        return val
-
-    probs = np.array([pi(k, 0, False) for k in range(1, kmax + 1)])
+    n = kmax + 1
+    # Row m is I^m z and row n + m is F I^m z: sum_(j<k) pi_j of that point.
+    done = [0.0] * (2 * n)
+    probs = []
+    for k in range(1, kmax + 1):
+        # The rows the recursion reaches at level k: z, then I^m z with
+        # 0 < m < kmax - k, then F I^m z with m > k.
+        rows = [0, *range(1, kmax - k), *range(n + k + 1, 2 * n)]
+        level = []
+        for row in rows:
+            flipped = row >= n
+            m = row - n if flipped else row
+            # The target F I^k w of w = F^flipped I^m z, reduced to the forward orbit.
+            tm = m - k if flipped else m + k
+            if not 0 <= tm <= kmax:
+                raise RuntimeError("orbit index out of range; inconsistent recursion")
+            rem_w = max(0.0, 1.0 - done[row])
+            rem_t = max(0.0, 1.0 - done[tm if flipped else n + tm])
+            log_num = fwd[tm]
+            log_den = fwd[m]
+            if rem_t == 0.0 or log_num == -math.inf:
+                second = 0.0
+            elif log_den == -math.inf:
+                second = math.inf
+            else:
+                second = math.exp(min(700.0, log_num - log_den)) * rem_t
+            level.append(min(rem_w, second))
+        for row, val in zip(rows, level):
+            done[row] += val
+        probs.append(level[0])
+    probs = np.array(probs)
     return probs, np.cumsum(probs)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 from xchmc.diagnostics import check_main_identity
 from xchmc.integrator import (DivergedLeg, LegSpec, check_reversibility,
                               check_volume_preservation)
-from xchmc.phase import PhaseState, TargetModel, builtin_target
+from xchmc.phase import PhaseState, TargetModel, _unchecked, builtin_target
 from xchmc.rng import ScriptedRng, chain_rng
 from xchmc.sampler import (Budget, SamplerConfig, _forward_log_ratios, couple_noise,
                            lahmc_from_log_ratios, run_chain, run_palindromic_chain,
@@ -61,17 +61,36 @@ class VerificationReport:
         return [o.line() for o in self.outcomes]
 
 
-def _battery_targets() -> list[tuple[TargetModel, float]]:
-    """Targets exercised by every suite, with a per-target stable step size."""
+def _battery_legs(steps: int) -> list[tuple[TargetModel, LegSpec]]:
+    """Targets exercised by every suite, each with a leg of ``steps`` steps of a
+    per-target stable step size."""
     return [
-        (builtin_target("gaussian", 2, variances=[1.0, 4.0]), 0.2),
-        (builtin_target("double_well", 2), 0.12),
-        (builtin_target("banana", 2, curvature=0.5), 0.15),
+        (builtin_target("gaussian", 2, variances=[1.0, 4.0]), LegSpec(dt=0.2, steps=steps)),
+        (builtin_target("double_well", 2), LegSpec(dt=0.12, steps=steps)),
+        (builtin_target("banana", 2, curvature=0.5), LegSpec(dt=0.15, steps=steps)),
     ]
 
 
-def _random_state(rng, dim: int) -> PhaseState:
-    return PhaseState(rng.standard_normal(dim), rng.standard_normal(dim))
+def _random_state(rng: np.random.Generator, dim: int) -> PhaseState:
+    # Normals drawn from a Generator are finite float vectors of length dim.
+    return _unchecked(PhaseState, x=rng.standard_normal(dim), y=rng.standard_normal(dim))
+
+
+def _worse(worst: float, result: float) -> float:
+    """The worse of two check results; a non-finite one is worse than any finite one.
+
+    A battery passes only when its worst result is finite and within tolerance
+    (:func:`_passes`), so a check that returns NaN or -inf fails it.
+    """
+    if not math.isfinite(worst):
+        return worst
+    if not math.isfinite(result):
+        return result
+    return max(worst, result)
+
+
+def _passes(worst: float, tolerance: float) -> bool:
+    return math.isfinite(worst) and worst <= tolerance
 
 
 def _leg_battery(name: str, check, stream: int, points_per_target: int, seed: int,
@@ -80,12 +99,11 @@ def _leg_battery(name: str, check, stream: int, points_per_target: int, seed: in
     rng = chain_rng(seed, stream)
     worst = 0.0
     checks = 0
-    for model, dt in _battery_targets():
-        leg = LegSpec(dt=dt, steps=5)
+    for model, leg in _battery_legs(5):
         for _ in range(points_per_target):
-            worst = max(worst, check(model, leg, _random_state(rng, model.dim)))
+            worst = _worse(worst, check(model, leg, _random_state(rng, model.dim)))
             checks += 1
-    return CheckOutcome(name, worst <= tolerance, worst, tolerance, checks)
+    return CheckOutcome(name, _passes(worst, tolerance), worst, tolerance, checks)
 
 
 def verify_reversibility(points_per_target: int = 100, seed: int = DEFAULT_SEED,
@@ -106,13 +124,12 @@ def verify_main_identity(triples: int = 1000, seed: int = DEFAULT_SEED,
                          tolerance: float = 1e-8) -> CheckOutcome:
     """rho * p_k must agree between each point and the flipped end of its orbit."""
     rng = chain_rng(seed, 3)
-    targets = _battery_targets()
+    targets = _battery_legs(5)
     worst = 0.0
     checks = 0
     skipped = 0
     for i in range(triples):
-        model, dt = targets[i % len(targets)]
-        leg = LegSpec(dt=dt, steps=5)
+        model, leg = targets[i % len(targets)]
         k = 1 + i % 4
         discrepancy = None
         for _ in range(5):  # diverged orbits are skipped explicitly: resample
@@ -123,10 +140,10 @@ def verify_main_identity(triples: int = 1000, seed: int = DEFAULT_SEED,
                 skipped += 1
         if discrepancy is None:
             continue
-        worst = max(worst, discrepancy)
+        worst = _worse(worst, discrepancy)
         checks += 1
     detail = f"skipped={skipped}" if skipped else ""
-    return CheckOutcome("main_identity", worst <= tolerance and checks >= triples // 2,
+    return CheckOutcome("main_identity", _passes(worst, tolerance) and checks >= triples // 2,
                         worst, tolerance, checks, detail)
 
 
@@ -142,17 +159,17 @@ def verify_lahmc_equivalence(triples: int = 1000, seed: int = DEFAULT_SEED,
                              tolerance: float = 1e-12) -> CheckOutcome:
     """Cumulative look-ahead probabilities must equal the slot thresholds."""
     rng = chain_rng(seed, 4)
-    targets = _battery_targets()
+    targets = _battery_legs(3)
     chance_counts = (1, 2, 3, 5)
     worst = 0.0
     checks = 0
     for i in range(triples):
-        model, dt = targets[i % len(targets)]
-        leg = LegSpec(dt=dt, steps=3)
+        model, leg = targets[i % len(targets)]
         extra = chance_counts[i % len(chance_counts)]
-        worst = max(worst, _lahmc_gap(model, leg, _random_state(rng, model.dim), extra))
+        worst = _worse(worst, _lahmc_gap(model, leg, _random_state(rng, model.dim), extra))
         checks += 1
-    return CheckOutcome("lahmc_equivalence", worst <= tolerance, worst, tolerance, checks)
+    return CheckOutcome("lahmc_equivalence", _passes(worst, tolerance), worst, tolerance,
+                        checks)
 
 
 def _coupling_discrepancy(sin_psi: float, transitions: int, seed: int) -> float:
@@ -192,9 +209,9 @@ def verify_palindromic_coupling(transitions: int = 100, seed: int = DEFAULT_SEED
     worst = 0.0
     checks = 0
     for sin_psi in (0.25, 0.5, 1.0):
-        worst = max(worst, _coupling_discrepancy(sin_psi, transitions, seed))
+        worst = _worse(worst, _coupling_discrepancy(sin_psi, transitions, seed))
         checks += 1
-    return CheckOutcome("palindromic_coupling", worst <= tolerance, worst, tolerance,
+    return CheckOutcome("palindromic_coupling", _passes(worst, tolerance), worst, tolerance,
                         checks, detail=f"{transitions} transitions per angle")
 
 

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from xchmc import LegSpec, PhaseState, lahmc_probabilities, sigma_sequence, verify
+from xchmc import LegSpec, PhaseState, lahmc_probabilities, sigma_sequence, verify, verification
 from xchmc.verification import SUITES, CheckOutcome, _lahmc_gap
 
 
@@ -55,3 +57,25 @@ def test_lookahead_triple_integrates_its_orbit_once(counting, gauss2d):
         sigma = sigma_sequence(gauss2d, leg, z, 3).sigma
         _, cumulative = lahmc_probabilities(gauss2d, leg, z, 3)
         assert gap == float(np.max(np.abs(sigma - cumulative)))
+
+
+# Each battery with the check it folds replaced, and small arguments.
+_BATTERY_CHECKS = [
+    ("verify_reversibility", "check_reversibility", {"points_per_target": 3}),
+    ("verify_volume", "check_volume_preservation", {"points_per_target": 3}),
+    ("verify_main_identity", "check_main_identity", {"triples": 9}),
+    ("verify_lahmc_equivalence", "_lahmc_gap", {"triples": 9}),
+    ("verify_palindromic_coupling", "_coupling_discrepancy", {"transitions": 3}),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf])
+@pytest.mark.parametrize("battery,check,kwargs", _BATTERY_CHECKS)
+def test_non_finite_check_result_fails_its_battery(monkeypatch, battery, check, kwargs, bad):
+    # The second check returns ``bad`` and every other one a passing 0.
+    results = iter([0.0, bad])
+    monkeypatch.setattr(verification, check, lambda *args: next(results, 0.0))
+    outcome = getattr(verification, battery)(**kwargs)
+    assert not outcome.passed
+    assert outcome.worst == bad or (math.isnan(bad) and math.isnan(outcome.worst))
+    assert outcome.line().startswith("[FAIL]")
