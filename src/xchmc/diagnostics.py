@@ -155,19 +155,26 @@ def check_main_identity(model: TargetModel, leg: LegSpec, z: PhaseState, k: int)
 
 @dataclass(frozen=True)
 class Observable:
-    """A scalar function of the position, used for averages and ESS."""
+    """A scalar function of the position, used for averages and ESS.
+
+    ``column``, when set, gives ``[fn(x) for x in positions]`` for a whole
+    positions matrix at once, bit for bit.
+    """
 
     name: str
     fn: Callable[[np.ndarray], float]
+    column: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def coordinate(index: int) -> Observable:
     if index < 0:
         raise ValueError("coordinate index must be non-negative")
-    return Observable(f"x{index}", lambda x: float(x[index]))
+    return Observable(f"x{index}", lambda x: float(x[index]),
+                      lambda positions: positions[:, index])
 
 
 def squared_radius() -> Observable:
+    # No column: a row-wise sum of squares need not round as x @ x does.
     return Observable("r2", lambda x: float(x @ x))
 
 
@@ -176,9 +183,17 @@ def interval_indicator(index: int, lo: float, hi: float) -> Observable:
         raise ValueError("coordinate index must be non-negative")
     if not lo < hi:
         raise ValueError("need lo < hi")
+    # As floats, so that both forms compare the same numbers.
+    lo, hi = float(lo), float(hi)
+
+    def column(positions: np.ndarray) -> np.ndarray:
+        values = positions[:, index]
+        return ((lo <= values) & (values <= hi)).astype(float)
+
     return Observable(
         f"ind_x{index}_{lo:g}_{hi:g}",
         lambda x: 1.0 if lo <= float(x[index]) <= hi else 0.0,
+        column,
     )
 
 
@@ -235,8 +250,16 @@ def series_average(values) -> AverageEstimate:
 
 
 def estimate_average(record: ChainRecord, observable: Observable) -> AverageEstimate:
-    """:func:`series_average` of an observable; a RuntimeWarning marks an undefined ESS."""
-    estimate = series_average([observable.fn(x) for x in record.positions])
+    """:func:`series_average` of an observable; a RuntimeWarning marks an undefined ESS.
+
+    An observable with a ``column`` is evaluated on all positions at once, as a
+    contiguous copy, so the series and its sums are those of the row path.
+    """
+    if observable.column is None:
+        values = [observable.fn(x) for x in record.positions]
+    else:
+        values = np.ascontiguousarray(observable.column(record.positions), dtype=float)
+    estimate = series_average(values)
     if math.isnan(estimate.ess):
         warnings.warn(f"observable {observable.name!r} has zero variance; ESS undefined",
                       RuntimeWarning, stacklevel=2)

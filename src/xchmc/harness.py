@@ -6,7 +6,6 @@ import csv
 import dataclasses
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -386,8 +385,14 @@ def _aggregate(entries: list[dict]) -> dict:
 
 
 def _replica_results(payloads: list[dict], workers: int):
-    """Results of ``_run_replica`` over ``payloads``, in order, each as soon as it is ready."""
+    """Results of ``_run_replica`` over ``payloads``, in order, each as soon as it is ready.
+
+    The process pool, and with it ``multiprocessing``, is imported only when a
+    sweep runs one, so ``import xchmc`` and serial runs do without it.
+    """
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(_run_replica, payloads)
     else:

@@ -15,6 +15,7 @@ extra-chance legs of that transition, so the composed leg map stays reversible.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -330,6 +331,11 @@ def _drive(model: TargetModel, transition, z0: PhaseState, budget: Budget,
     The ``budget.burn_in`` transitions are discarded.  The recorded chain then
     runs until it has made ``budget.transitions`` transitions or, under a
     force-evaluation budget, until the evaluations spent meet or exceed it.
+
+    Each recorded state and outcome is appended to flat ``array`` buffers, new
+    for every call, and the record's arrays are views of exactly the rows
+    written: a recorded transition costs its ``2 d + 4`` numbers and no
+    per-transition object.
     """
     _check_dim(model, z0)
     z = z0
@@ -337,26 +343,28 @@ def _drive(model: TargetModel, transition, z0: PhaseState, budget: Budget,
         z = transition(z).next_state
     max_transitions = math.inf if budget.transitions is None else budget.transitions
     max_evals = math.inf if budget.force_evals is None else budget.force_evals
-    xs, ys = [z.x], [z.y]
-    slots, candidates, evals, dts = [], [], [], []
+    xs, ys = array("d", z.x.tobytes()), array("d", z.y.tobytes())
+    slots, candidates, evals, dts = array("q"), array("q"), array("q"), array("d")
     spent = 0
     while len(slots) < max_transitions and spent < max_evals:
         out = transition(z)
         z = out.next_state
-        xs.append(z.x)
-        ys.append(z.y)
+        xs.frombytes(z.x.tobytes())
+        ys.frombytes(z.y.tobytes())
         slots.append(out.slot)
         candidates.append(out.candidates_computed)
         evals.append(out.force_evals)
         dts.append(out.dt)
         spent += out.force_evals
+    # An exact shape: a state of another size is an error here, not a shifted row.
+    rows = (len(slots) + 1, z0.x.shape[0])
     return ChainRecord(
-        positions=np.array(xs),
-        momenta=np.array(ys),
-        slots=np.array(slots, dtype=int),
-        candidates=np.array(candidates, dtype=int),
-        force_evals=np.array(evals, dtype=int),
-        dt_used=np.array(dts),
+        positions=np.frombuffer(xs, dtype=np.float64).reshape(rows),
+        momenta=np.frombuffer(ys, dtype=np.float64).reshape(rows),
+        slots=np.frombuffer(slots, dtype=np.int64),
+        candidates=np.frombuffer(candidates, dtype=np.int64),
+        force_evals=np.frombuffer(evals, dtype=np.int64),
+        dt_used=np.frombuffer(dts, dtype=np.float64),
         extra_chances=extra_chances,
         burn_in=budget.burn_in,
     )

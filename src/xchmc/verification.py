@@ -93,9 +93,16 @@ def _passes(worst: float, tolerance: float) -> bool:
     return math.isfinite(worst) and worst <= tolerance
 
 
+def _check_size(name: str, value: int) -> None:
+    """A battery of no checks would pass vacuously, so its size must be at least 1."""
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, not {value!r}")
+
+
 def _leg_battery(name: str, check, stream: int, points_per_target: int, seed: int,
                  tolerance: float) -> CheckOutcome:
     """Worst ``check(model, leg, z)`` over 5-step legs and random states z of every target."""
+    _check_size("points_per_target", points_per_target)
     rng = chain_rng(seed, stream)
     worst = 0.0
     checks = 0
@@ -122,7 +129,12 @@ def verify_volume(points_per_target: int = 100, seed: int = DEFAULT_SEED,
 
 def verify_main_identity(triples: int = 1000, seed: int = DEFAULT_SEED,
                          tolerance: float = 1e-8) -> CheckOutcome:
-    """rho * p_k must agree between each point and the flipped end of its orbit."""
+    """rho * p_k must agree between each point and the flipped end of its orbit.
+
+    Triples whose orbits diverge five times running are skipped; the battery
+    fails unless at least half of them, and at least one, were checked.
+    """
+    _check_size("triples", triples)
     rng = chain_rng(seed, 3)
     targets = _battery_legs(5)
     worst = 0.0
@@ -143,8 +155,8 @@ def verify_main_identity(triples: int = 1000, seed: int = DEFAULT_SEED,
         worst = _worse(worst, discrepancy)
         checks += 1
     detail = f"skipped={skipped}" if skipped else ""
-    return CheckOutcome("main_identity", _passes(worst, tolerance) and checks >= triples // 2,
-                        worst, tolerance, checks, detail)
+    passed = _passes(worst, tolerance) and checks >= max(1, triples // 2)
+    return CheckOutcome("main_identity", passed, worst, tolerance, checks, detail)
 
 
 def _lahmc_gap(model: TargetModel, leg: LegSpec, z: PhaseState, extra_chances: int) -> float:
@@ -158,6 +170,7 @@ def _lahmc_gap(model: TargetModel, leg: LegSpec, z: PhaseState, extra_chances: i
 def verify_lahmc_equivalence(triples: int = 1000, seed: int = DEFAULT_SEED,
                              tolerance: float = 1e-12) -> CheckOutcome:
     """Cumulative look-ahead probabilities must equal the slot thresholds."""
+    _check_size("triples", triples)
     rng = chain_rng(seed, 4)
     targets = _battery_legs(3)
     chance_counts = (1, 2, 3, 5)
@@ -206,6 +219,7 @@ def _coupling_discrepancy(sin_psi: float, transitions: int, seed: int) -> float:
 def verify_palindromic_coupling(transitions: int = 100, seed: int = DEFAULT_SEED,
                                 tolerance: float = 1e-12) -> CheckOutcome:
     """The coupled palindromic and single-refresh chains must share positions."""
+    _check_size("transitions", transitions)
     worst = 0.0
     checks = 0
     for sin_psi in (0.25, 0.5, 1.0):

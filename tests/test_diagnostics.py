@@ -3,12 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from xchmc import (Budget, DivergedLeg, LegSpec, PhaseState, SamplerConfig, TargetModel,
-                   ZeroVarianceError, builtin_target, check_main_identity, chain_rng,
-                   coordinate, ess_initial_monotone, estimate_average, flip,
-                   interval_indicator, log_rho, make_observable, run_chain, sigma_sequence,
-                   slot_stats, squared_radius, verlet_leg)
+from xchmc import (Budget, ChainRecord, DivergedLeg, LegSpec, Observable, PhaseState,
+                   SamplerConfig, TargetModel, ZeroVarianceError, builtin_target,
+                   check_main_identity, chain_rng, coordinate, ess_initial_monotone,
+                   estimate_average, flip, interval_indicator, log_rho, make_observable,
+                   run_chain, sigma_sequence, slot_stats, squared_radius, verlet_leg)
 
 
 def ar1_series(phi, n, seed):
@@ -185,6 +187,57 @@ class TestObservables:
             make_observable("potato")
         with pytest.raises(ValueError):
             make_observable({"kind": "mystery"})
+
+
+# Coordinates on a half-integer grid as well as arbitrary ones, so that indicator
+# bounds and positions often coincide.
+_coordinates = st.one_of(st.integers(-8, 8).map(lambda k: k / 2.0),
+                         st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@st.composite
+def positions_and_observable(draw):
+    dim = draw(st.integers(1, 4))
+    rows = draw(st.integers(10, 40))
+    positions = np.array(draw(st.lists(st.lists(_coordinates, min_size=dim, max_size=dim),
+                                       min_size=rows, max_size=rows)),
+                         order=draw(st.sampled_from("CF")))
+    index = draw(st.integers(0, dim - 1))
+    if draw(st.booleans()):
+        return positions, coordinate(index)
+    lo, hi = sorted(draw(st.lists(_coordinates, min_size=2, max_size=2, unique=True)))
+    return positions, interval_indicator(index, lo, hi)
+
+
+def record_of(positions):
+    n = positions.shape[0] - 1
+    return ChainRecord(positions=positions, momenta=np.zeros_like(positions),
+                       slots=np.ones(n, dtype=int), candidates=np.ones(n, dtype=int),
+                       force_evals=np.ones(n, dtype=int), dt_used=np.ones(n),
+                       extra_chances=0, burn_in=0)
+
+
+class TestObservableColumns:
+    @given(positions_and_observable())
+    def test_column_is_the_row_values(self, case):
+        positions, obs = case
+        column = np.ascontiguousarray(obs.column(positions), dtype=float)
+        rows = np.array([obs.fn(x) for x in positions])
+        assert column.tobytes() == rows.tobytes()
+
+    @given(positions_and_observable())
+    def test_estimate_average_equals_the_row_path(self, case):
+        positions, obs = case
+        record = record_of(positions)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            by_column = estimate_average(record, obs)
+            by_row = estimate_average(record, Observable(obs.name, obs.fn))
+        assert np.array(by_column).tobytes() == np.array(by_row).tobytes()
+
+    def test_squared_radius_keeps_the_row_path(self):
+        # A row-wise sum of squares need not round as x @ x does.
+        assert squared_radius().column is None
 
 
 class TestEstimateAverage:

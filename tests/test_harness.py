@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +222,26 @@ class TestRunExperiment:
         serial = run_experiment(spec, workers=1)
         parallel = run_experiment(spec, workers=2)
         assert serial.json_bytes() == parallel.json_bytes()
+
+    def test_process_pool_is_imported_only_by_a_pooled_sweep(self):
+        code = (
+            "import sys\n"
+            "import xchmc\n"
+            "loaded = lambda: 'concurrent.futures' in sys.modules\n"
+            "raw = {'target': 'gaussian', 'dims': 1, 'sweep': 'dt', 'values': [0.3],\n"
+            "       'fixed': {'L': 2}, 'replicas': 2, 'budget_force_evals': 60, 'burn_in': 0}\n"
+            "spec = xchmc.parse_spec(raw)\n"
+            "states = [loaded()]\n"
+            "xchmc.run_experiment(spec, workers=1)\n"
+            "states.append(loaded())\n"
+            "xchmc.run_experiment(spec, workers=2)\n"
+            "states.append(loaded())\n"
+            "print(states)\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[False,", "False,", "True]"]
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_worker_count_below_one_rejected(self, workers):

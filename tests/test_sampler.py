@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -811,3 +812,91 @@ class TestDriverAgainstHandLoop:
         with pytest.raises(ValueError, match="dimension"):
             getattr(sampler, chain)(gauss2d, config, PhaseState([0.0], [1.0]), budget,
                                     rng=ScriptedRng())
+
+
+def record_arrays(rec):
+    return {f.name: getattr(rec, f.name) for f in dataclasses.fields(rec)
+            if isinstance(getattr(rec, f.name), np.ndarray)}
+
+
+def record_nbytes(rec):
+    return sum(a.nbytes for a in record_arrays(rec).values())
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak of traced memory it allocated on top of what was live."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
+class TestChainRecordLayout:
+    """The recorder's arrays hold exactly the rows the chain wrote, in C order."""
+
+    @staticmethod
+    def _chain(model, transitions, seed=2):
+        config = SamplerConfig(leg=LegSpec(0.2, 1), psi=math.asin(0.4), extra_chances=1,
+                               jitter_fraction=0.05, seed=seed)
+        z0 = PhaseState(np.zeros(model.dim), np.ones(model.dim))
+        return run_chain(model, config, z0, Budget(transitions=transitions))
+
+    @staticmethod
+    def _assert_layout(rec, dim):
+        n = rec.transitions
+        want = {"positions": (np.float64, (n + 1, dim)), "momenta": (np.float64, (n + 1, dim)),
+                "slots": (np.int64, (n,)), "candidates": (np.int64, (n,)),
+                "force_evals": (np.int64, (n,)), "dt_used": (np.float64, (n,))}
+        arrays = record_arrays(rec)
+        assert list(arrays) == list(want)
+        for name, (dtype, shape) in want.items():
+            a = arrays[name]
+            assert a.dtype == dtype and a.shape == shape, name
+            assert a.flags.c_contiguous, name
+            assert a.nbytes == a.itemsize * math.prod(shape), name
+
+    @pytest.mark.parametrize("transitions", [0, 1, 37])
+    def test_arrays_hold_exactly_the_rows_written(self, gauss2d, transitions):
+        rec = self._chain(gauss2d, transitions)
+        assert rec.transitions == transitions
+        self._assert_layout(rec, 2)
+        assert np.all((rec.slots >= 1) & (rec.slots <= 3))
+        assert np.all(rec.dt_used > 0.0)
+
+    def test_palindromic_record_has_the_same_layout(self, gauss2d):
+        config = SamplerConfig(leg=LegSpec(0.2, 2), psi=math.asin(0.5), extra_chances=2)
+        for transitions in (0, 25):
+            rec = run_palindromic_chain(gauss2d, config, PhaseState([0.1, 0.2], [0.3, 0.4]),
+                                        transitions)
+            self._assert_layout(rec, 2)
+
+    def test_each_call_records_into_its_own_buffers(self, gauss2d):
+        first = self._chain(gauss2d, 30, seed=1)
+        kept = {name: a.copy() for name, a in record_arrays(first).items()}
+        second = self._chain(gauss2d, 30, seed=5)
+        for name, a in record_arrays(first).items():
+            assert not np.shares_memory(a, getattr(second, name)), name
+            assert np.array_equal(a, kept[name]), name
+
+    def test_pickle_round_trip_gives_an_equal_record(self, dwell2d):
+        # Sweep workers ship records back to the parent process pickled.
+        rec = self._chain(dwell2d, 50)
+        back = pickle.loads(pickle.dumps(rec))
+        for name, a in record_arrays(rec).items():
+            b = getattr(back, name)
+            assert b.dtype == a.dtype and b.shape == a.shape, name
+            assert b.tobytes() == a.tobytes(), name
+        assert (back.extra_chances, back.burn_in) == (rec.extra_chances, rec.burn_in)
+
+    @pytest.mark.parametrize("target,dim", [("gaussian", 10), ("double_well", 2)])
+    def test_recording_costs_at_most_twice_the_record(self, target, dim):
+        rec, peak = traced_peak(lambda: self._chain(builtin_target(target, dim), 20_000))
+        assert rec.transitions == 20_000
+        assert peak <= 2 * record_nbytes(rec), peak / record_nbytes(rec)

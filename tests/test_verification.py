@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from xchmc import LegSpec, PhaseState, lahmc_probabilities, sigma_sequence, verify, verification
+from xchmc import (DivergedLeg, LegSpec, PhaseState, lahmc_probabilities, sigma_sequence,
+                   verification, verify)
 from xchmc.verification import SUITES, CheckOutcome, _lahmc_gap
 
 
@@ -79,3 +80,29 @@ def test_non_finite_check_result_fails_its_battery(monkeypatch, battery, check, 
     assert not outcome.passed
     assert outcome.worst == bad or (math.isnan(bad) and math.isnan(outcome.worst))
     assert outcome.line().startswith("[FAIL]")
+
+
+@pytest.mark.parametrize("battery,size", [
+    ("verify_reversibility", "points_per_target"),
+    ("verify_volume", "points_per_target"),
+    ("verify_main_identity", "triples"),
+    ("verify_lahmc_equivalence", "triples"),
+    ("verify_palindromic_coupling", "transitions"),
+])
+@pytest.mark.parametrize("bad", [0, -3])
+def test_battery_of_no_checks_is_rejected(battery, size, bad):
+    # A battery with no checks would report a vacuous pass.
+    with pytest.raises(ValueError, match=f"{size} must be at least 1"):
+        getattr(verification, battery)(**{size: bad})
+
+
+@pytest.mark.parametrize("triples", [1, 3])
+def test_main_identity_with_every_triple_skipped_fails(monkeypatch, triples):
+    def diverging(*args):
+        raise DivergedLeg(0, 0)
+
+    monkeypatch.setattr(verification, "check_main_identity", diverging)
+    outcome = verification.verify_main_identity(triples=triples)
+    assert outcome.checks == 0
+    assert not outcome.passed
+    assert outcome.detail == f"skipped={5 * triples}"
