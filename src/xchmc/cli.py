@@ -156,7 +156,8 @@ def _cmd_plot_data(args) -> int:
     lines = [f"{axis},ess_mean,ess_std"]
     for block in summary["results"]:
         agg = block["aggregate"]
-        # A null aggregate (no replica had a defined ESS) is an empty field.
+        # A null aggregate is an empty field: no replica had a finite ESS, or,
+        # for ess_std, fewer than two did.
         fields = [block["value"], agg["ess_mean"], agg["ess_std"]]
         lines.append(",".join("" if f is None else str(f) for f in fields))
     text = "\n".join(lines) + "\n"

@@ -10,7 +10,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from xchmc.integrator import LegSpec, verlet_leg
-from xchmc.phase import PhaseState, TargetModel, _carry_potential, _log_rho, _orbit_start, flip
+from xchmc.phase import (PhaseState, TargetModel, _carry_potential, _integer, _log_rho,
+                         _orbit_start, flip)
 from xchmc.phase import log_rho  # noqa: F401  (perfbench/tracing.py rebinds diagnostics.log_rho)
 from xchmc.sampler import ChainRecord, _log_ratio, sigma_sequence, slot_distribution
 
@@ -126,12 +127,11 @@ def check_main_identity(model: TargetModel, leg: LegSpec, z: PhaseState, k: int)
     DivergedLeg so the caller can skip the point explicitly.
 
     The orbit of z carries each potential it evaluates (``phase._orbit_start``)
-    under one ``np.errstate`` guard, and the mirror hands its potential on to
-    the mirror's own orbit, so each distinct position costs one potential call.
+    under one ``np.errstate`` guard, and the mirror hands its potential and
+    gradient on to the mirror's own orbit, so each distinct position costs one
+    potential call and one gradient call.
     """
-    if int(k) != k or k < 1:
-        raise ValueError("k must be an integer >= 1")
-    k = int(k)
+    k = _integer("k", k, 1)
     log_ratios = np.empty(k)
     with np.errstate(over="ignore", invalid="ignore"):
         current = _orbit_start(model, z)

@@ -371,12 +371,12 @@ def _aggregate(entries: list[dict]) -> dict:
         return {"ess_mean": None, "ess_std": None, "ess_stderr": None, "slot_means": {}}
     ess = np.array([e["ess"] for e in good], dtype=float)
     finite = ess[np.isfinite(ess)]
-    if finite.size:
-        ess_mean = float(finite.mean())
-        ess_std = float(finite.std(ddof=1)) if finite.size > 1 else 0.0
+    # One finite ESS gives a mean but no spread: its std and stderr are undefined.
+    ess_mean = float(finite.mean()) if finite.size else None
+    ess_std = ess_stderr = None
+    if finite.size > 1:
+        ess_std = float(finite.std(ddof=1))
         ess_stderr = ess_std / math.sqrt(finite.size)
-    else:
-        ess_mean = ess_std = ess_stderr = None
     slot_names = sorted({k for e in good for k in e["slots"]})
     slot_means = {name: float(np.mean([e["slots"].get(name, 0.0) for e in good]))
                   for name in slot_names}

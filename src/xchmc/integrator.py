@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from xchmc.phase import PhaseState, TargetModel, _all_finite, _check_dim, _unchecked, flip
+from xchmc.phase import (PhaseState, TargetModel, _all_finite, _check_dim, _integer, _unchecked,
+                         flip)
 
 __all__ = [
     "LegSpec",
@@ -28,9 +29,7 @@ class LegSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError("dt must be positive and finite")
-        if int(self.steps) != self.steps or self.steps < 1:
-            raise ValueError("steps must be an integer >= 1")
-        object.__setattr__(self, "steps", int(self.steps))
+        object.__setattr__(self, "steps", _integer("steps", self.steps, 1))
 
 
 class DivergedLeg(RuntimeError):
@@ -42,8 +41,9 @@ class DivergedLeg(RuntimeError):
         0-based index of the step whose update first produced a non-finite
         gradient or state (``steps`` for the closing half kick).
     force_evals:
-        Gradient evaluations actually performed before the leg was abandoned,
-        so budget accounting stays exact.
+        Gradient evaluations the leg made before it was abandoned, the failing
+        one included, so budget accounting stays exact: ``step_index + 1``,
+        or ``step_index`` when the leg started from a carried gradient.
     """
 
     def __init__(self, step_index: int, force_evals: int):
@@ -57,8 +57,13 @@ def verlet_leg(model: TargetModel, spec: LegSpec, z: PhaseState) -> tuple[PhaseS
 
     The leg is the half-kick / (drift, kick) x (steps-1) / drift / half-kick
     composition: it is volume preserving and reversible up to a momentum flip.
-    A complete leg always costs exactly ``steps + 1`` gradient evaluations.
-    Divergence raises :class:`DivergedLeg` with the partial evaluation count.
+    It evaluates the gradient at the start and after each drift, and the end
+    state carries its last gradient, tagged with ``model.gradient``.  When
+    ``z`` carries the gradient of its position for ``model.gradient`` (a leg
+    end, or a flip or refresh of one), the first half kick uses it, and a
+    complete leg costs ``steps`` gradient evaluations; from any other state,
+    a caller's included, it costs ``steps + 1``.  Divergence raises
+    :class:`DivergedLeg` with the partial evaluation count.
 
     ``z`` is a checked state; only its dimension is compared with the target.
     Every gradient is checked against the state's shape and, like the end
@@ -75,21 +80,26 @@ def verlet_leg(model: TargetModel, spec: LegSpec, z: PhaseState) -> tuple[PhaseS
     gradient = model.gradient
     x = z.x
     y = z.y.copy()
+    carried = z._gradient
+    # Whether the gradient at the start is evaluated here (1) or carried in (0).
+    fresh = int(carried is None or carried[0] is not gradient)
+    g = None if fresh else carried[1]
     with np.errstate(over="ignore", invalid="ignore"):
         # Gradient evaluation ``step`` follows a drift (all but the first) and
         # feeds a half kick at either end of the leg and a full kick between.
         for step in range(steps + 1):
             if step:
                 x = x + dt * inv_mass(y)
-            g = np.asarray(gradient(x), dtype=float)
-            if g.shape != y.shape:
-                raise ValueError(f"gradient values do not match the state shape {y.shape}")
-            if not _all_finite(g):
-                raise DivergedLeg(step, step + 1)
+            if step or fresh:
+                g = np.asarray(gradient(x), dtype=float)
+                if g.shape != y.shape:
+                    raise ValueError(f"gradient values do not match the state shape {y.shape}")
+                if not _all_finite(g):
+                    raise DivergedLeg(step, step + fresh)
             y -= (dt if 0 < step < steps else half_dt) * g
         if not (_all_finite(x) and _all_finite(y)):
-            raise DivergedLeg(steps, steps + 1)
-    return _unchecked(PhaseState, x=x, y=y), steps + 1
+            raise DivergedLeg(steps, steps + fresh)
+    return _unchecked(PhaseState, x=x, y=y, _gradient=(gradient, g)), steps + fresh
 
 
 def check_reversibility(model: TargetModel, spec: LegSpec, z: PhaseState) -> float:

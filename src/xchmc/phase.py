@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -43,10 +44,12 @@ class PhaseState:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
-    # ``(potential, V(x))`` on the states the kernel builds, so that a chain
-    # evaluates the potential of each position once (see ``_orbit_start``).
-    # Not a field: equality, repr and pickling see ``x`` and ``y`` only.
+    # ``(potential, V(x))`` and ``(gradient, grad V(x))`` on the states the
+    # kernel builds, so that a chain evaluates each of them once per position
+    # (see ``_orbit_start`` and ``integrator.verlet_leg``).  Not fields:
+    # equality, repr and pickling see ``x`` and ``y`` only.
     _potential = None
+    _gradient = None
 
     @property
     def dim(self) -> int:
@@ -61,12 +64,28 @@ def _unchecked(cls, **fields):
 
     Skips ``__post_init__``.  The kernel builds its own states and jittered legs
     with this from arrays and values it has already checked, and passes a
-    state's carried potential on as the extra attribute ``_potential``; every
-    caller outside the kernel goes through the checking constructor.
+    state's carried potential and gradient on as the extra attributes
+    ``_potential`` and ``_gradient``; every caller outside the kernel goes
+    through the checking constructor.
     """
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
+
+
+def _integer(name: str, value, minimum: int) -> int:
+    """``value`` as an ``int`` of at least ``minimum``: the check of every integer field.
+
+    Python and numpy integers and integral floats pass.  A bool, a
+    non-integral or non-finite value, or one below ``minimum`` raises a
+    ``ValueError`` naming the field ``name``.
+    """
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (isinstance(value, numbers.Integral) or float(value).is_integer())
+            and value >= minimum):
+        bound = "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}"
+        raise ValueError(f"{name} must be {bound}, not {value!r}")
+    return int(value)
 
 
 def _all_finite(a: np.ndarray) -> bool:
@@ -84,7 +103,8 @@ def _all_finite(a: np.ndarray) -> bool:
 
 def flip(z: PhaseState) -> PhaseState:
     """Momentum flip (x, y) -> (x, -y): an involution that preserves the energy."""
-    return _unchecked(PhaseState, x=z.x, y=-z.y, _potential=z._potential)
+    return _unchecked(PhaseState, x=z.x, y=-z.y, _potential=z._potential,
+                      _gradient=z._gradient)
 
 
 def _same(v: np.ndarray) -> np.ndarray:
@@ -198,7 +218,9 @@ class TargetModel:
 
     ``potential`` and ``gradient`` must be pure functions of the position:
     independent chains call them concurrently and nothing may be cached
-    between calls.
+    between calls.  The kernel keeps the array ``gradient`` returns as the
+    gradient at that position, so it must not be changed afterwards; it may
+    be the position itself, which the kernel never modifies.
     """
 
     dim: int
@@ -208,8 +230,7 @@ class TargetModel:
     mass: MassMatrix = field(default_factory=MassMatrix.identity)
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("target dimension must be at least 1")
+        object.__setattr__(self, "dim", _integer("dim", self.dim, 1))
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise ValueError("beta must be positive and finite")
         if self.mass.dim is not None and self.mass.dim != self.dim:
@@ -365,8 +386,7 @@ def builtin_target(name: str, dims: int, *, beta: float = 1.0, mass=None,
     if name not in _BUILTINS:
         known = ", ".join(sorted(_BUILTINS))
         raise ValueError(f"unknown target {name!r}; choose one of: {known}")
-    if dims < 1:
-        raise ValueError("dims must be at least 1")
+    dims = _integer("dims", dims, 1)
     if mass is None:
         mass = MassMatrix.identity()
     elif not isinstance(mass, MassMatrix):

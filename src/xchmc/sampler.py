@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from xchmc.integrator import DivergedLeg, LegSpec, verlet_leg
-from xchmc.phase import (PhaseState, TargetModel, _carry_potential, _check_dim, _log_rho,
-                         _orbit_start, _unchecked, flip)
+from xchmc.phase import (PhaseState, TargetModel, _carry_potential, _check_dim, _integer,
+                         _log_rho, _orbit_start, _unchecked, flip)
 from xchmc.phase import log_rho  # noqa: F401  (perfbench/tracing.py rebinds sampler.log_rho)
 from xchmc.rng import chain_rng
 
@@ -60,12 +60,6 @@ def _check_psi(psi: float) -> None:
         raise ValueError("psi must lie in (0, pi/2]")
 
 
-def _check_extra_chances(extra_chances) -> int:
-    if int(extra_chances) != extra_chances or extra_chances < 0:
-        raise ValueError("extra_chances must be an integer >= 0")
-    return int(extra_chances)
-
-
 @dataclass(frozen=True)
 class SamplerConfig:
     """Static parameters of one chain."""
@@ -78,7 +72,7 @@ class SamplerConfig:
 
     def __post_init__(self) -> None:
         _check_psi(self.psi)
-        object.__setattr__(self, "extra_chances", _check_extra_chances(self.extra_chances))
+        object.__setattr__(self, "extra_chances", _integer("extra_chances", self.extra_chances, 0))
         if not (0.0 <= self.jitter_fraction < 1.0):
             raise ValueError("jitter_fraction must lie in [0, 1)")
 
@@ -144,9 +138,11 @@ def _candidate_orbit(model: TargetModel, leg: LegSpec, z: PhaseState, count: int
 
     ``z`` carries its potential (``phase._orbit_start``), and every yielded
     state carries its own, so the potential is called once per integrated
-    candidate.  The caller holds ``np.errstate(over="ignore",
-    invalid="ignore")`` over the whole iteration: a guard entered here would
-    stay open while a consumer that stops early leaves the generator suspended.
+    candidate.  Each leg starts from the gradient its start state carries,
+    when it carries one (see :func:`~xchmc.integrator.verlet_leg`).  The
+    caller holds ``np.errstate(over="ignore", invalid="ignore")`` over the
+    whole iteration: a guard entered here would stay open while a consumer
+    that stops early leaves the generator suspended.
     """
     log_ref = _log_rho(model, z)
     current = z
@@ -163,7 +159,7 @@ def _candidate_orbit(model: TargetModel, leg: LegSpec, z: PhaseState, count: int
 def _forward_log_ratios(model: TargetModel, leg: LegSpec, z: PhaseState,
                         extra_chances: int) -> np.ndarray:
     """log rho(I^j z) - log rho(z), j = 1..extra_chances + 1; -inf from a diverged leg on."""
-    count = _check_extra_chances(extra_chances) + 1
+    count = _integer("extra_chances", extra_chances, 0) + 1
     out = np.full(count, -math.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         orbit = _candidate_orbit(model, leg, _orbit_start(model, z), count)
@@ -200,7 +196,8 @@ def refresh_momentum(model: TargetModel, z: PhaseState, psi: float, rng) -> Phas
         raise ValueError("refresh noise must be finite")
     noise = model.mass._sqrt_mul(noise)
     c, s = _cos_sin(psi)
-    return _unchecked(PhaseState, x=z.x, y=c * z.y + s * noise, _potential=z._potential)
+    return _unchecked(PhaseState, x=z.x, y=c * z.y + s * noise, _potential=z._potential,
+                      _gradient=z._gradient)
 
 
 @dataclass(frozen=True)
@@ -244,9 +241,12 @@ def extra_chance_step(model: TargetModel, config: SamplerConfig, z: PhaseState,
     returned if none of the ``extra_chances + 1`` candidates does.  Diverged
     candidates count as density zero and are never accepted.
 
-    The returned state carries its potential, so a chain evaluates the
-    potential once per integrated candidate; the potential of ``z`` itself is
-    evaluated only when ``z`` does not carry it for ``model.potential``.
+    The returned state carries its potential and gradient, so a chain
+    evaluates the potential once per integrated candidate, and the gradient
+    ``steps`` times per integrated leg.  The potential of ``z`` itself is
+    evaluated only when ``z`` does not carry it for ``model.potential``, and
+    its gradient, once more, only when ``z`` does not carry it for
+    ``model.gradient``.
     """
     u, jitter = _acceptance_and_jitter_draws(rng, config.jitter_fraction)
     # SamplerConfig has checked the base step, the jitter fraction and the step
@@ -291,8 +291,8 @@ class Budget:
             raise ValueError("set exactly one of transitions and force_evals")
         for name in ("transitions", "force_evals", "burn_in"):
             v = getattr(self, name)
-            if v is not None and (int(v) != v or v < 0):
-                raise ValueError(f"{name} must be a non-negative integer")
+            if v is not None or name == "burn_in":
+                object.__setattr__(self, name, _integer(name, v, 0))
 
 
 @dataclass(frozen=True)
@@ -377,6 +377,11 @@ def run_chain(model: TargetModel, config: SamplerConfig, z0: PhaseState, budget:
     With no explicit ``rng`` the stream is ``chain_rng(config.seed,
     chain_index)``, making records bit-identical across runs with the same
     seed and configuration.
+
+    Each integrated leg costs ``config.leg.steps`` gradient evaluations, and a
+    diverged one its partial count.  The first leg of each transition up to
+    the first accepted candidate starts at the position of ``z0``, whose
+    gradient the chain does not carry, and costs one more.
     """
     if rng is None:
         rng = chain_rng(config.seed, chain_index)

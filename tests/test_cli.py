@@ -212,6 +212,18 @@ class TestSweepAndPlotData:
         assert code == 0
         assert dest.read_text().startswith("dt,ess_mean,ess_std")
 
+    def test_single_replica_prints_no_stderr_and_plots_no_std(self, tmp_path, capsys):
+        path = tmp_path / "single.json"
+        path.write_text(json.dumps({"target": "gaussian", "dims": 1, "sweep": "dt",
+                                    "values": [0.3], "fixed": {"L": 4}, "replicas": 1,
+                                    "budget_force_evals": 800, "burn_in": 5, "seed": 1,
+                                    "out_dir": str(tmp_path / "runs")}))
+        assert main(["sweep", "--spec", str(path)]) == 0
+        assert "ess_stderr=n/a" in capsys.readouterr().out
+        main(["plot-data", "--summary", str(tmp_path / "runs" / "summary.json")])
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[0] == "0.3" and float(row[1]) > 0 and row[2] == ""
+
     def test_plot_data_writes_null_aggregates_as_empty_fields(self, tmp_path, capsys):
         summary = tmp_path / "summary.json"
         summary.write_text(json.dumps({

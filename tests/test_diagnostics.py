@@ -114,9 +114,10 @@ class TestMainIdentity:
             z = PhaseState(rng.standard_normal(2), rng.standard_normal(2))
             assert check_main_identity(dwell2d, LegSpec(0.15, 4), z, 1 + i % 3) <= 1e-8
 
-    @pytest.mark.parametrize("k,cost", [(1, 12), (2, 24), (4, 48)])
+    @pytest.mark.parametrize("k,cost", [(1, 11), (2, 21), (4, 41)])
     def test_one_orbit_per_side(self, counting, gauss2d, k, cost):
-        # 5-step legs cost 6 gradient evaluations: k legs from z, k from the mirror.
+        # 5-step legs cost 5 gradient evaluations, plus 1 at z: k legs from z, k from
+        # the mirror, which starts from the gradient the orbit of z ends with.
         model, calls = counting(gauss2d)
         leg = LegSpec(0.5, 5)
         rng = np.random.default_rng(300 + k)

@@ -13,6 +13,7 @@ import pytest
 from xchmc import (Budget, PhaseState, SpecError, builtin_target, chain_rng,
                    load_spec, parse_spec, read_chain_csv, run_chain,
                    run_experiment, write_chain_csv)
+import xchmc.harness as harness
 from xchmc.cli import main
 from xchmc.harness import _config_for
 
@@ -176,8 +177,9 @@ class TestRunExperiment:
     def test_budget_drives_transition_count(self):
         report = run_experiment(tiny_spec())
         entry = report.results[0]["replicas"][0]
-        # L = 4: each transition costs exactly 5 force evaluations
-        assert abs(entry["transitions"] - 200) <= 1
+        # L = 4: each transition costs exactly 4 force evaluations (the extra one
+        # of the chain's first leg is spent in the burn-in)
+        assert abs(entry["transitions"] - 250) <= 1
         assert entry["force_evals"] >= 1000
         assert entry["force_evals"] < 1000 + 5
 
@@ -276,6 +278,27 @@ class TestRunExperiment:
         entry = report.results[0]["replicas"][0]
         assert "error" in entry
         assert report.results[0]["aggregate"]["ess_mean"] is None
+
+    def test_one_replica_has_a_mean_but_no_spread(self):
+        agg = run_experiment(tiny_spec(replicas=1)).results[0]["aggregate"]
+        assert agg["ess_mean"] > 0
+        assert agg["ess_std"] is None and agg["ess_stderr"] is None
+
+    def test_one_finite_ess_of_three_replicas_has_no_spread(self, monkeypatch):
+        real, calls = harness.estimate_average, {"n": 0}
+
+        def fails_after_the_first(record, observable):
+            calls["n"] += 1
+            if calls["n"] > 1:
+                raise RuntimeError("replica fails on purpose")
+            return real(record, observable)
+
+        monkeypatch.setattr(harness, "estimate_average", fails_after_the_first)
+        block = run_experiment(tiny_spec(replicas=3)).results[0]
+        assert ["error" in e for e in block["replicas"]] == [False, True, True]
+        agg = block["aggregate"]
+        assert agg["ess_mean"] == block["replicas"][0]["ess"]
+        assert agg["ess_std"] is None and agg["ess_stderr"] is None
 
     def test_extra_chances_reduce_flips_on_rough_target(self):
         def run(k):

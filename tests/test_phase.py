@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from xchmc import (MassMatrix, PhaseState, TargetModel, builtin_target, flip,
-                   gradient_fd_error, hamiltonian, log_rho)
+from xchmc import (Budget, LegSpec, MassMatrix, PhaseState, SamplerConfig, TargetModel,
+                   builtin_target, flip, gradient_fd_error, hamiltonian, log_rho)
 from xchmc.phase import _all_finite
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -262,3 +262,42 @@ class TestBuiltinTargets:
         model = builtin_target("gaussian", 1, mass=mass)
         z = PhaseState([0.0], [2.0])
         assert hamiltonian(model, z) == pytest.approx(0.5)
+
+
+# Each integer field of the API, as (owner.field, constructor of an object with
+# the field set to the given value).
+INTEGER_FIELDS = {
+    "Budget.transitions": lambda v: Budget(transitions=v),
+    "Budget.force_evals": lambda v: Budget(force_evals=v),
+    "Budget.burn_in": lambda v: Budget(transitions=1, burn_in=v),
+    "TargetModel.dim": lambda v: TargetModel(dim=v, potential=lambda x: 0.0,
+                                             gradient=np.zeros_like),
+    "LegSpec.steps": lambda v: LegSpec(0.1, v),
+    "SamplerConfig.extra_chances": lambda v: SamplerConfig(leg=LegSpec(0.1, 2), psi=1.0,
+                                                           extra_chances=v),
+}
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("bad", [True, False, 2.5, math.inf, -math.inf, math.nan,
+                                     np.float64(math.nan), np.True_, "3", None])
+    @pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+    def test_bad_value_raises_naming_the_field(self, field, bad):
+        if bad is None and field in ("Budget.transitions", "Budget.force_evals"):
+            return  # None leaves the budget unset: the exactly-one rule handles it
+        with pytest.raises(ValueError, match=f"^{field.split('.')[1]} must be "):
+            INTEGER_FIELDS[field](bad)
+
+    @pytest.mark.parametrize("good", [3, np.int64(3), np.int32(3), np.uint8(3), 3.0,
+                                      np.float64(3.0)])
+    @pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+    def test_integral_value_is_stored_as_int(self, field, good):
+        value = getattr(INTEGER_FIELDS[field](good), field.split(".")[1])
+        assert type(value) is int and value == 3
+
+    @pytest.mark.parametrize("field,low", [("Budget.transitions", -1), ("Budget.burn_in", -1),
+                                           ("TargetModel.dim", 0), ("LegSpec.steps", 0),
+                                           ("SamplerConfig.extra_chances", -1)])
+    def test_value_below_the_minimum_raises(self, field, low):
+        with pytest.raises(ValueError, match=f"^{field.split('.')[1]} must be "):
+            INTEGER_FIELDS[field](low)

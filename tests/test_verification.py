@@ -46,7 +46,8 @@ def test_coupling_suite_passes_quickly():
 
 
 def test_lookahead_triple_integrates_its_orbit_once(counting, gauss2d):
-    # extra = 3: four 3-step legs of 4 gradient evaluations each, for both sides.
+    # extra = 3: four 3-step legs of 3 gradient evaluations each, plus 1 at z, for
+    # both sides.
     model, calls = counting(gauss2d)
     leg = LegSpec(0.2, 3)
     rng = np.random.default_rng(5)
@@ -54,7 +55,7 @@ def test_lookahead_triple_integrates_its_orbit_once(counting, gauss2d):
         z = PhaseState(rng.standard_normal(2), rng.standard_normal(2))
         calls["gradient"] = 0
         gap = _lahmc_gap(model, leg, z, 3)
-        assert calls["gradient"] == 16
+        assert calls["gradient"] == 13
         sigma = sigma_sequence(gauss2d, leg, z, 3).sigma
         _, cumulative = lahmc_probabilities(gauss2d, leg, z, 3)
         assert gap == float(np.max(np.abs(sigma - cumulative)))
