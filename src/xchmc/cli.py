@@ -135,12 +135,25 @@ def _cmd_verify(args) -> int:
 def _cmd_ess(args) -> int:
     with open(args.input, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    if args.column not in header:
-        raise ValueError(f"column {args.column!r} not in {args.input} (have: {header})")
-    idx = header.index(args.column)
-    values = np.array([float(row[idx]) for row in rows if row[idx] != ""])
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{args.input}: line 1: no header row (the file is empty)")
+        if args.column not in header:
+            raise ValueError(f"column {args.column!r} not in {args.input} (have: {header})")
+        idx = header.index(args.column)
+        values = []
+        for row in reader:
+            where = f"{args.input}: line {reader.line_num}"
+            if len(row) <= idx:
+                raise ValueError(f"{where}: column {args.column!r} is field {idx + 1}, "
+                                 f"but the row has only {len(row)}")
+            if row[idx] != "":
+                try:
+                    values.append(float(row[idx]))
+                except ValueError:
+                    raise ValueError(f"{where}: {row[idx]!r} in column {args.column!r} "
+                                     "is not a number") from None
+    values = np.array(values)
     mean, ess, stderr = series_average(values)
     payload = {"column": args.column, "n": int(values.size), "mean": mean,
                "ess": ess, "stderr": stderr}

@@ -174,8 +174,8 @@ def coordinate(index: int) -> Observable:
 
 
 def squared_radius() -> Observable:
-    # No column: a row-wise sum of squares need not round as x @ x does.
-    return Observable("r2", lambda x: float(x @ x))
+    # No column: a row-wise sum of squares need not round as x.dot(x) does.
+    return Observable("r2", lambda x: float(x.dot(x)))
 
 
 def interval_indicator(index: int, lo: float, hi: float) -> Observable:

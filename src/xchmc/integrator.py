@@ -52,6 +52,10 @@ class DivergedLeg(RuntimeError):
         self.force_evals = force_evals
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def verlet_leg(model: TargetModel, spec: LegSpec, z: PhaseState) -> tuple[PhaseState, int]:
     """Integrate one velocity Verlet leg; returns (end state, gradient evaluations).
 
@@ -68,37 +72,42 @@ def verlet_leg(model: TargetModel, spec: LegSpec, z: PhaseState) -> tuple[PhaseS
     ``z`` is a checked state; only its dimension is compared with the target.
     Every gradient is checked against the state's shape and, like the end
     state, tested for finiteness, so the end state is built without re-checking
-    it.  ``z`` is never modified: the kicks update a copy of the momentum in
-    place, and the position is never updated in place (a gradient may return
-    its argument).
+    it.  A gradient ``g`` is finite when ``g.dot(g)`` is, which holds exactly
+    when every entry is unless the sum of squares overflows; only then are
+    the entries tested one by one.  ``z`` is never modified: every kick and
+    drift builds a new array (a gradient may return its argument).  The whole
+    leg runs under ``np.errstate(over="ignore", invalid="ignore")``.
     """
     _check_dim(model, z)
-    dt = spec.dt
-    half_dt = 0.5 * dt
+    # The full step as a vector: an array-array product costs less than a
+    # float-array one and gives the same floats.  The two half kicks keep the
+    # float, which costs less than building a second vector.
+    dt = np.full(z.x.shape, spec.dt)
+    half_dt = 0.5 * spec.dt
     steps = spec.steps
     inv_mass = model.mass._inv_mul
     gradient = model.gradient
-    x = z.x
-    y = z.y.copy()
+    x, y = z.x, z.y
     carried = z._gradient
     # Whether the gradient at the start is evaluated here (1) or carried in (0).
     fresh = int(carried is None or carried[0] is not gradient)
     g = None if fresh else carried[1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        # Gradient evaluation ``step`` follows a drift (all but the first) and
-        # feeds a half kick at either end of the leg and a full kick between.
-        for step in range(steps + 1):
-            if step:
-                x = x + dt * inv_mass(y)
-            if step or fresh:
-                g = np.asarray(gradient(x), dtype=float)
-                if g.shape != y.shape:
-                    raise ValueError(f"gradient values do not match the state shape {y.shape}")
-                if not _all_finite(g):
-                    raise DivergedLeg(step, step + fresh)
-            y -= (dt if 0 < step < steps else half_dt) * g
-        if not (_all_finite(x) and _all_finite(y)):
-            raise DivergedLeg(steps, steps + fresh)
+    # Gradient evaluation ``step`` follows a drift (all but the first) and
+    # feeds a half kick at either end of the leg and a full kick between.
+    for step in range(steps + 1):
+        if step:
+            x = x + dt * inv_mass(y)
+        if step or fresh:
+            g = gradient(x)
+            if type(g) is not np.ndarray or g.dtype is not _FLOAT64:
+                g = np.asarray(g, dtype=float)
+            if g.shape != y.shape:
+                raise ValueError(f"gradient values do not match the state shape {y.shape}")
+            if not (math.isfinite(g.dot(g)) or np.isfinite(g).all()):
+                raise DivergedLeg(step, step + fresh)
+        y = y - (dt if 0 < step < steps else half_dt) * g
+    if not (_all_finite(x) and _all_finite(y)):
+        raise DivergedLeg(steps, steps + fresh)
     return _unchecked(PhaseState, x=x, y=y, _gradient=(gradient, g)), steps + fresh
 
 

@@ -113,11 +113,10 @@ def slot_distribution(log_ratios) -> SlotDistribution:
         thresholds.append(running)
     log_sigma = np.array(thresholds)
     sigma = np.exp(log_sigma)
-    p = np.empty(lr.size + 1)
-    p[0] = sigma[0]
-    p[1:-1] = sigma[1:] - sigma[:-1]
-    p[-1] = 1.0 - sigma[-1]
-    return SlotDistribution(sigma=sigma, p=p, log_sigma=log_sigma)
+    s = sigma.tolist()
+    # The increments as Python floats: the same subtractions as on the array.
+    p = np.array([s[0], *[b - a for a, b in zip(s, s[1:])], 1.0 - s[-1]])
+    return _unchecked(SlotDistribution, sigma=sigma, p=p, log_sigma=log_sigma)
 
 
 def _log_ratio(log_k: float, log_ref: float) -> float:
@@ -156,15 +155,15 @@ def _candidate_orbit(model: TargetModel, leg: LegSpec, z: PhaseState, count: int
         yield current, _log_ratio(_log_rho(model, current), log_ref), evals
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _forward_log_ratios(model: TargetModel, leg: LegSpec, z: PhaseState,
                         extra_chances: int) -> np.ndarray:
     """log rho(I^j z) - log rho(z), j = 1..extra_chances + 1; -inf from a diverged leg on."""
     count = _integer("extra_chances", extra_chances, 0) + 1
     out = np.full(count, -math.inf)
-    with np.errstate(over="ignore", invalid="ignore"):
-        orbit = _candidate_orbit(model, leg, _orbit_start(model, z), count)
-        for j, (_, log_ratio, _) in enumerate(orbit):
-            out[j] = log_ratio
+    for j, (_, log_ratio, _) in enumerate(
+            _candidate_orbit(model, leg, _orbit_start(model, z), count)):
+        out[j] = log_ratio
     return out
 
 
@@ -191,8 +190,7 @@ def refresh_momentum(model: TargetModel, z: PhaseState, psi: float, rng) -> Phas
     noise = np.asarray(rng.standard_normal(z.x.shape[0]), dtype=float)
     # phase._all_finite's test, but outside the leg's np.errstate: np.vdot, unlike
     # ndarray.dot, does not warn when huge finite noise overflows the sum of squares.
-    v = float(np.vdot(noise, noise))
-    if not (v - v == 0.0 or np.isfinite(noise).all()):
+    if not (math.isfinite(np.vdot(noise, noise)) or np.isfinite(noise).all()):
         raise ValueError("refresh noise must be finite")
     noise = model.mass._sqrt_mul(noise)
     c, s = _cos_sin(psi)
@@ -224,13 +222,16 @@ def _acceptance_and_jitter_draws(rng, fraction: float) -> tuple[float, float]:
 
     ``Generator.uniform(low, high)`` is ``low + (high - low) * random()``, so
     for a ``numpy.random.Generator`` the same stream gives the same bits
-    through the cheaper ``random()``.  Any other rng is asked for ``uniform``.
+    through the cheaper ``random(2)``, whose two doubles are those of two
+    ``random()`` calls.  Any other rng is asked for ``uniform``.
     """
     if type(rng) is np.random.Generator:
-        return rng.random(), -fraction + (fraction - -fraction) * rng.random()
+        u, r = rng.random(2).tolist()
+        return u, -fraction + (fraction - -fraction) * r
     return float(rng.uniform()), float(rng.uniform(-fraction, fraction))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def extra_chance_step(model: TargetModel, config: SamplerConfig, z: PhaseState,
                       rng) -> TransitionOutcome:
     """Apply the delayed-rejection dynamics map to ``z``.
@@ -246,7 +247,8 @@ def extra_chance_step(model: TargetModel, config: SamplerConfig, z: PhaseState,
     ``steps`` times per integrated leg.  The potential of ``z`` itself is
     evaluated only when ``z`` does not carry it for ``model.potential``, and
     its gradient, once more, only when ``z`` does not carry it for
-    ``model.gradient``.
+    ``model.gradient``.  The whole transition runs under
+    ``np.errstate(over="ignore", invalid="ignore")``.
     """
     u, jitter = _acceptance_and_jitter_draws(rng, config.jitter_fraction)
     # SamplerConfig has checked the base step, the jitter fraction and the step
@@ -259,14 +261,13 @@ def extra_chance_step(model: TargetModel, config: SamplerConfig, z: PhaseState,
     chances = config.extra_chances + 1
     log_running = -math.inf
     evals = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = _orbit_start(model, z)
-        for k, (state, log_ratio, n) in enumerate(_candidate_orbit(model, leg, z, chances), 1):
-            evals += n
-            log_running = max(log_running, min(0.0, log_ratio))
-            if log_ratio > -math.inf and log_u <= log_running:
-                return _unchecked(TransitionOutcome, next_state=state, slot=k,
-                                  candidates_computed=k, force_evals=evals, u=u, dt=dt)
+    z = _orbit_start(model, z)
+    for k, (state, log_ratio, n) in enumerate(_candidate_orbit(model, leg, z, chances), 1):
+        evals += n
+        log_running = max(log_running, min(0.0, log_ratio))
+        if log_ratio > -math.inf and log_u <= log_running:
+            return _unchecked(TransitionOutcome, next_state=state, slot=k,
+                              candidates_computed=k, force_evals=evals, u=u, dt=dt)
     # Every candidate was rejected, or a leg diverged and the candidates from
     # it on count as density zero: either way all of them count as computed.
     return _unchecked(TransitionOutcome, next_state=flip(z), slot=chances + 1,

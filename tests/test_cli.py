@@ -143,6 +143,21 @@ class TestEss:
         assert main(["ess", "--input", str(tmp_path / "nope.csv"),
                      "--column", "x0"]) == 3
 
+    @pytest.mark.parametrize("text,line,detail", [
+        ("", 1, "no header row"),
+        ("t,v\n0,1.0\n1\n2,3.0\n", 3, "is field 2, but the row has only 1"),
+        ("t,v\n0,1.0\n\n", 3, "is field 2, but the row has only 0"),
+        ("t,v\n0,1.0\n1,abc\n", 3, "'abc' in column 'v' is not a number"),
+    ])
+    def test_malformed_csv_is_usage_error_naming_the_line(self, tmp_path, capsys, text, line,
+                                                          detail):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert main(["ess", "--input", str(path), "--column", "v"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line {line}: ")
+        assert detail in err
+
 
 @pytest.fixture
 def sweep_spec(tmp_path):

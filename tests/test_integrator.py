@@ -106,9 +106,8 @@ class TestVerletLeg:
 
     @pytest.mark.parametrize("mass", sorted(MASSES))
     def test_gradient_returning_its_argument(self, mass):
-        # The kicks update the momentum in place; with a gradient that hands
-        # back its argument, neither the input state nor an earlier position
-        # may change under them.
+        # With a gradient that hands back its argument, neither the input
+        # state nor an earlier position may change under the kicks and drifts.
         model = TargetModel(dim=3, potential=lambda x: 0.5 * float(x @ x),
                             gradient=lambda x: x, mass=MASSES[mass](3))
         x0, y0 = np.array([0.3, -1.2, 0.8]), np.array([1.1, 0.4, -0.6])
