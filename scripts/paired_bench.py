@@ -13,7 +13,8 @@ end-to-end metric is summarised over the 10 pairs: both sides' medians and
 quartiles, the pairs the change won (ties count for neither), the gain rule
 (at least 9 wins and a median gain above the parent's quartile distance) and
 the change's median as a share of the parent's, next to the metric's bound.
-Three traced runs per side then give the per-layer medians.
+Three traced pairs, alternating in the same way so that host drift does not
+show up as a per-layer difference, then give each side's per-layer medians.
 """
 
 from __future__ import annotations
@@ -99,13 +100,14 @@ def main() -> int:
         summary = {m["name"]: compare(runs, m["name"], m["better"], m["bound"],
                                       spread_of["change"].spread)
                    for m in bench["end_to_end"]}
-        traced = {}
-        for side in SIDES:
-            t = [spread_of[side].run_once(workload, FIRST_SEED + j, seconds, 1)
-                 for j in range(TRACED_RUNS)]
-            traced[side] = {"all_correct": all(r["result"]["correct"] for r in t),
-                            "layers": {k: statistics.median(metric_values(r)[k] for r in t)
-                                       for k in t[0]["result"]["metrics"]}}
+        t = {side: [] for side in SIDES}
+        for j in range(TRACED_RUNS):
+            for side in SIDES if j % 2 == 0 else SIDES[::-1]:
+                t[side].append(spread_of[side].run_once(workload, FIRST_SEED + j, seconds, 1))
+        traced = {side: {"all_correct": all(r["result"]["correct"] for r in t[side]),
+                         "layers": {k: statistics.median(metric_values(r)[k] for r in t[side])
+                                    for k in t[side][0]["result"]["metrics"]}}
+                  for side in SIDES}
         out["workloads"][workload] = {
             "runs": runs, "summary": summary, "traced": traced,
             "all_correct": all(r["correct"] for r in runs),

@@ -10,8 +10,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from xchmc.integrator import LegSpec, verlet_leg
-from xchmc.phase import (PhaseState, TargetModel, _carry_potential, _integer, _log_rho,
-                         _orbit_start, flip)
+from xchmc.phase import PhaseState, TargetModel, _integer, _log_rho, _orbit_start, flip
 from xchmc.phase import log_rho  # noqa: F401  (perfbench/tracing.py rebinds diagnostics.log_rho)
 from xchmc.sampler import ChainRecord, _log_ratio, sigma_sequence, slot_distribution
 
@@ -138,7 +137,6 @@ def check_main_identity(model: TargetModel, leg: LegSpec, z: PhaseState, k: int)
         log_here = _log_rho(model, current)
         for j in range(k):
             current, _ = verlet_leg(model, leg, current)
-            _carry_potential(model, current)
             log_there = _log_rho(model, current)
             log_ratios[j] = _log_ratio(log_there, log_here)
     p_here = slot_distribution(log_ratios).p[k - 1]
@@ -203,7 +201,8 @@ def make_observable(spec) -> Observable:
     Strings: ``"x<i>"`` for coordinate i, ``"r2"`` for the squared radius.
     Dicts: ``{"kind": "coordinate", "index": i}``,
     ``{"kind": "squared_radius"}``, or
-    ``{"kind": "indicator", "index": i, "lo": a, "hi": b}``.
+    ``{"kind": "indicator", "index": i, "lo": a, "hi": b}``.  An index must
+    be a non-negative integer (an integral float passes; a bool does not).
     """
     if isinstance(spec, Observable):
         return spec
@@ -219,11 +218,12 @@ def make_observable(spec) -> Observable:
             raise ValueError(f"unknown observable keys: {sorted(unknown)}")
         kind = spec.get("kind")
         if kind == "coordinate":
-            return coordinate(int(spec["index"]))
+            return coordinate(_integer("index", spec["index"], 0))
         if kind == "squared_radius":
             return squared_radius()
         if kind == "indicator":
-            return interval_indicator(int(spec["index"]), float(spec["lo"]), float(spec["hi"]))
+            return interval_indicator(_integer("index", spec["index"], 0), float(spec["lo"]),
+                                      float(spec["hi"]))
         raise ValueError(f"unknown observable kind {kind!r}")
     raise ValueError(f"cannot interpret observable spec of type {type(spec).__name__}")
 

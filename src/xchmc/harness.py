@@ -388,8 +388,11 @@ def _replica_results(payloads: list[dict], workers: int):
     """Results of ``_run_replica`` over ``payloads``, in order, each as soon as it is ready.
 
     The process pool, and with it ``multiprocessing``, is imported only when a
-    sweep runs one, so ``import xchmc`` and serial runs do without it.
+    sweep runs one, so ``import xchmc`` and serial runs do without it.  The
+    pool has at most one worker per payload: under the fork start method it
+    starts all of its workers at the first submit.
     """
+    workers = min(workers, len(payloads))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

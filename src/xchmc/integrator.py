@@ -66,8 +66,10 @@ def verlet_leg(model: TargetModel, spec: LegSpec, z: PhaseState) -> tuple[PhaseS
     ``z`` carries the gradient of its position for ``model.gradient`` (a leg
     end, or a flip or refresh of one), the first half kick uses it, and a
     complete leg costs ``steps`` gradient evaluations; from any other state,
-    a caller's included, it costs ``steps + 1``.  Divergence raises
-    :class:`DivergedLeg` with the partial evaluation count.
+    a caller's included, it costs ``steps + 1``, and a start the kernel built
+    (one that carries its potential) keeps that first gradient, even if the
+    leg diverges later.  Divergence raises :class:`DivergedLeg` with the
+    partial evaluation count.
 
     ``z`` is a checked state; only its dimension is compared with the target.
     Every gradient is checked against the state's shape and, like the end
@@ -105,6 +107,8 @@ def verlet_leg(model: TargetModel, spec: LegSpec, z: PhaseState) -> tuple[PhaseS
                 raise ValueError(f"gradient values do not match the state shape {y.shape}")
             if not (math.isfinite(g.dot(g)) or np.isfinite(g).all()):
                 raise DivergedLeg(step, step + fresh)
+            if not step and z._potential is not None:
+                object.__setattr__(z, "_gradient", (gradient, g))
         y = y - (dt if 0 < step < steps else half_dt) * g
     if not (_all_finite(x) and _all_finite(y)):
         raise DivergedLeg(steps, steps + fresh)

@@ -44,10 +44,10 @@ class PhaseState:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
-    # ``(potential, V(x))`` and ``(gradient, grad V(x))`` on the states the
-    # kernel builds, so that a chain evaluates each of them once per position
-    # (see ``_orbit_start`` and ``integrator.verlet_leg``).  Not fields:
-    # equality, repr and pickling see ``x`` and ``y`` only.
+    # ``(potential, V(x))`` and ``(gradient, grad V(x))``: a state the kernel
+    # built evaluates each at most once and keeps it (writers: ``_log_rho`` and
+    # ``integrator.verlet_leg``); a caller's state is never written to (see
+    # ``_orbit_start``).  Not fields: equality, repr and pickling see x and y.
     _potential = None
     _gradient = None
 
@@ -63,10 +63,8 @@ def _unchecked(cls, **fields):
     """Instance of the frozen dataclass ``cls`` from fields known to be valid.
 
     Skips ``__post_init__``.  The kernel builds its own states and jittered legs
-    with this from arrays and values it has already checked, and passes a
-    state's carried potential and gradient on as the extra attributes
-    ``_potential`` and ``_gradient``; every caller outside the kernel goes
-    through the checking constructor.
+    with this from arrays and values it has already checked; every caller
+    outside the kernel goes through the checking constructor.
     """
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
@@ -99,10 +97,14 @@ def _all_finite(a: np.ndarray) -> bool:
     return math.isfinite(a.dot(a)) or bool(np.isfinite(a).all())
 
 
+def _with_momentum(z: PhaseState, y: np.ndarray) -> PhaseState:
+    """A kernel state at ``z``'s position with momentum ``y``, carrying ``z``'s values."""
+    return _unchecked(PhaseState, x=z.x, y=y, _potential=z._potential, _gradient=z._gradient)
+
+
 def flip(z: PhaseState) -> PhaseState:
     """Momentum flip (x, y) -> (x, -y): an involution that preserves the energy."""
-    return _unchecked(PhaseState, x=z.x, y=-z.y, _potential=z._potential,
-                      _gradient=z._gradient)
+    return _with_momentum(z, -z.y)
 
 
 def _same(v: np.ndarray) -> np.ndarray:
@@ -252,10 +254,8 @@ def hamiltonian(model: TargetModel, z: PhaseState) -> float:
 
 def log_rho(model: TargetModel, z: PhaseState) -> float:
     """Unnormalized log density -beta H(z); -inf wherever the potential is not finite."""
-    h = hamiltonian(model, z)
-    if h == math.inf:
-        return -math.inf
-    return -model.beta * h
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _log_rho(model, _orbit_start(model, z))
 
 
 def _hamiltonian(model: TargetModel, y: np.ndarray, v: float) -> float:
@@ -270,37 +270,33 @@ def _hamiltonian(model: TargetModel, y: np.ndarray, v: float) -> float:
 
 
 def _log_rho(model: TargetModel, z: PhaseState) -> float:
-    """:func:`log_rho` of a state that carries its potential (see :func:`_orbit_start`).
+    """:func:`log_rho` of ``z``, a state the kernel built (see :func:`_orbit_start`).
 
-    The same float that :func:`log_rho` computes.  Unguarded, like
-    :func:`_hamiltonian`, and without the dimension check.
+    V is evaluated only when ``z`` does not carry it for ``model.potential``,
+    and ``z`` then keeps it.  Unguarded, like :func:`_hamiltonian`, and
+    without the dimension check.
     """
-    h = _hamiltonian(model, z.y, z._potential[1])
+    carried = z._potential
+    if carried is None or carried[0] is not model.potential:
+        carried = (model.potential, float(model.potential(z.x)))
+        object.__setattr__(z, "_potential", carried)
+    h = _hamiltonian(model, z.y, carried[1])
     if h == math.inf:
         return -math.inf
     return -model.beta * h
 
 
-def _carry_potential(model: TargetModel, z: PhaseState) -> None:
-    """Evaluate V at the position of ``z``, a state the kernel has just built, and attach it."""
-    object.__setattr__(z, "_potential", (model.potential, float(model.potential(z.x))))
-
-
 def _orbit_start(model: TargetModel, z: PhaseState) -> PhaseState:
-    """``z``, checked against the target, carrying V(z.x) for ``model.potential``.
+    """``z``, checked against the target, as a state the kernel may write to.
 
-    A state the kernel built under this potential comes back as it is.  Any
-    other state (built by a caller, or carrying the value of another
-    potential) is left untouched, and a copy that carries the value is
-    returned.  Unguarded, like :func:`_hamiltonian`.
+    A state that carries a potential was built by the kernel and comes back as
+    it is.  Any other state (a caller's, or a leg end that was never a
+    candidate) is left untouched, and a copy of it is returned.
     """
     _check_dim(model, z)
-    carried = z._potential
-    if carried is not None and carried[0] is model.potential:
+    if z._potential is not None:
         return z
-    start = _unchecked(PhaseState, x=z.x, y=z.y)
-    _carry_potential(model, start)
-    return start
+    return _with_momentum(z, z.y)
 
 
 def _gaussian(dims: int, params: dict) -> tuple[Callable, Callable]:

@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from xchmc.integrator import DivergedLeg, LegSpec, verlet_leg
-from xchmc.phase import (PhaseState, TargetModel, _carry_potential, _check_dim, _integer,
-                         _log_rho, _orbit_start, _unchecked, flip)
+from xchmc.phase import (PhaseState, TargetModel, _check_dim, _integer, _log_rho, _orbit_start,
+                         _unchecked, _with_momentum, flip)
 from xchmc.phase import log_rho  # noqa: F401  (perfbench/tracing.py rebinds sampler.log_rho)
 from xchmc.rng import chain_rng
 
@@ -135,10 +135,10 @@ def _candidate_orbit(model: TargetModel, leg: LegSpec, z: PhaseState, count: int
     yields ``(None, -inf, its partial force evaluations)`` and ends the orbit:
     the later candidates are not integrated and have density zero.
 
-    ``z`` carries its potential (``phase._orbit_start``), and every yielded
-    state carries its own, so the potential is called once per integrated
-    candidate.  Each leg starts from the gradient its start state carries,
-    when it carries one (see :func:`~xchmc.integrator.verlet_leg`).  The
+    ``z`` is a state the kernel built (``phase._orbit_start``).  It and every
+    yielded state keep their potential, so the potential is called once per
+    integrated candidate, and their gradient (see
+    :func:`~xchmc.integrator.verlet_leg`).  The
     caller holds ``np.errstate(over="ignore", invalid="ignore")`` over the
     whole iteration: a guard entered here would stay open while a consumer
     that stops early leaves the generator suspended.
@@ -151,7 +151,6 @@ def _candidate_orbit(model: TargetModel, leg: LegSpec, z: PhaseState, count: int
         except DivergedLeg as err:
             yield None, -math.inf, err.force_evals
             return
-        _carry_potential(model, current)
         yield current, _log_ratio(_log_rho(model, current), log_ref), evals
 
 
@@ -194,8 +193,7 @@ def refresh_momentum(model: TargetModel, z: PhaseState, psi: float, rng) -> Phas
         raise ValueError("refresh noise must be finite")
     noise = model.mass._sqrt_mul(noise)
     c, s = _cos_sin(psi)
-    return _unchecked(PhaseState, x=z.x, y=c * z.y + s * noise, _potential=z._potential,
-                      _gradient=z._gradient)
+    return _with_momentum(z, c * z.y + s * noise)
 
 
 @dataclass(frozen=True)
@@ -247,7 +245,7 @@ def extra_chance_step(model: TargetModel, config: SamplerConfig, z: PhaseState,
     ``steps`` times per integrated leg.  The potential of ``z`` itself is
     evaluated only when ``z`` does not carry it for ``model.potential``, and
     its gradient, once more, only when ``z`` does not carry it for
-    ``model.gradient``.  The whole transition runs under
+    ``model.gradient``; a flip carries both.  The whole transition runs under
     ``np.errstate(over="ignore", invalid="ignore")``.
     """
     u, jitter = _acceptance_and_jitter_draws(rng, config.jitter_fraction)
@@ -380,9 +378,9 @@ def run_chain(model: TargetModel, config: SamplerConfig, z0: PhaseState, budget:
     seed and configuration.
 
     Each integrated leg costs ``config.leg.steps`` gradient evaluations, and a
-    diverged one its partial count.  The first leg of each transition up to
-    the first accepted candidate starts at the position of ``z0``, whose
-    gradient the chain does not carry, and costs one more.
+    diverged one its partial count.  The first leg from ``z0`` costs one
+    more, since a caller's state carries no gradient; a flip back to ``z0``
+    carries the gradient that leg evaluated.
     """
     if rng is None:
         rng = chain_rng(config.seed, chain_index)

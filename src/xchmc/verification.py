@@ -76,27 +76,34 @@ def _random_state(rng: np.random.Generator, dim: int) -> PhaseState:
     return _unchecked(PhaseState, x=rng.standard_normal(dim), y=rng.standard_normal(dim))
 
 
-def _worse(worst: float, result: float) -> float:
-    """The worse of two check results; a non-finite one is worse than any finite one.
-
-    A battery passes only when its worst result is finite and within tolerance
-    (:func:`_passes`), so a check that returns NaN or -inf fails it.
-    """
-    if not math.isfinite(worst):
-        return worst
-    if not math.isfinite(result):
-        return result
-    return max(worst, result)
-
-
-def _passes(worst: float, tolerance: float) -> bool:
-    return math.isfinite(worst) and worst <= tolerance
-
-
 def _check_size(name: str, value: int) -> None:
     """A battery of no checks would pass vacuously, so its size must be at least 1."""
     if value < 1:
         raise ValueError(f"{name} must be at least 1, not {value!r}")
+
+
+def _battery(name: str, results, tolerance: float, required: int = 1,
+             detail: str = "") -> CheckOutcome:
+    """The outcome of a battery from the check results that ``results`` yields.
+
+    None marks a point skipped after a diverged orbit.  A non-finite result is
+    worse than any finite one, and the battery passes only when its worst
+    result is finite and within ``tolerance`` and at least ``required`` points
+    were checked, so a check that returns NaN or -inf fails it.
+    """
+    worst = 0.0
+    checks = skipped = 0
+    for result in results:
+        if result is None:
+            skipped += 1
+            continue
+        checks += 1
+        if math.isfinite(worst):
+            worst = max(worst, result) if math.isfinite(result) else result
+    if skipped:
+        detail = f"skipped={skipped}"
+    passed = math.isfinite(worst) and worst <= tolerance and checks >= required
+    return CheckOutcome(name, passed, worst, tolerance, checks, detail)
 
 
 def _leg_battery(name: str, check, stream: int, points_per_target: int, seed: int,
@@ -104,13 +111,9 @@ def _leg_battery(name: str, check, stream: int, points_per_target: int, seed: in
     """Worst ``check(model, leg, z)`` over 5-step legs and random states z of every target."""
     _check_size("points_per_target", points_per_target)
     rng = chain_rng(seed, stream)
-    worst = 0.0
-    checks = 0
-    for model, leg in _battery_legs(5):
-        for _ in range(points_per_target):
-            worst = _worse(worst, check(model, leg, _random_state(rng, model.dim)))
-            checks += 1
-    return CheckOutcome(name, _passes(worst, tolerance), worst, tolerance, checks)
+    return _battery(name, (check(model, leg, _random_state(rng, model.dim))
+                           for model, leg in _battery_legs(5)
+                           for _ in range(points_per_target)), tolerance)
 
 
 def verify_reversibility(points_per_target: int = 100, seed: int = DEFAULT_SEED,
@@ -137,26 +140,21 @@ def verify_main_identity(triples: int = 1000, seed: int = DEFAULT_SEED,
     _check_size("triples", triples)
     rng = chain_rng(seed, 3)
     targets = _battery_legs(5)
-    worst = 0.0
-    checks = 0
-    skipped = 0
-    for i in range(triples):
-        model, leg = targets[i % len(targets)]
-        k = 1 + i % 4
-        discrepancy = None
-        for _ in range(5):  # diverged orbits are skipped explicitly: resample
-            try:
-                discrepancy = check_main_identity(model, leg, _random_state(rng, model.dim), k)
+
+    def discrepancies():
+        for i in range(triples):
+            model, leg = targets[i % len(targets)]
+            for _ in range(5):  # diverged orbits are skipped explicitly: resample
+                try:
+                    result = check_main_identity(model, leg, _random_state(rng, model.dim),
+                                                 1 + i % 4)
+                except DivergedLeg:
+                    yield None
+                    continue
+                yield result
                 break
-            except DivergedLeg:
-                skipped += 1
-        if discrepancy is None:
-            continue
-        worst = _worse(worst, discrepancy)
-        checks += 1
-    detail = f"skipped={skipped}" if skipped else ""
-    passed = _passes(worst, tolerance) and checks >= max(1, triples // 2)
-    return CheckOutcome("main_identity", passed, worst, tolerance, checks, detail)
+
+    return _battery("main_identity", discrepancies(), tolerance, max(1, triples // 2))
 
 
 def _lahmc_gap(model: TargetModel, leg: LegSpec, z: PhaseState, extra_chances: int) -> float:
@@ -174,15 +172,14 @@ def verify_lahmc_equivalence(triples: int = 1000, seed: int = DEFAULT_SEED,
     rng = chain_rng(seed, 4)
     targets = _battery_legs(3)
     chance_counts = (1, 2, 3, 5)
-    worst = 0.0
-    checks = 0
-    for i in range(triples):
-        model, leg = targets[i % len(targets)]
-        extra = chance_counts[i % len(chance_counts)]
-        worst = _worse(worst, _lahmc_gap(model, leg, _random_state(rng, model.dim), extra))
-        checks += 1
-    return CheckOutcome("lahmc_equivalence", _passes(worst, tolerance), worst, tolerance,
-                        checks)
+
+    def gaps():
+        for i in range(triples):
+            model, leg = targets[i % len(targets)]
+            yield _lahmc_gap(model, leg, _random_state(rng, model.dim),
+                             chance_counts[i % len(chance_counts)])
+
+    return _battery("lahmc_equivalence", gaps(), tolerance)
 
 
 def _coupling_discrepancy(sin_psi: float, transitions: int, seed: int) -> float:
@@ -220,13 +217,10 @@ def verify_palindromic_coupling(transitions: int = 100, seed: int = DEFAULT_SEED
                                 tolerance: float = 1e-12) -> CheckOutcome:
     """The coupled palindromic and single-refresh chains must share positions."""
     _check_size("transitions", transitions)
-    worst = 0.0
-    checks = 0
-    for sin_psi in (0.25, 0.5, 1.0):
-        worst = _worse(worst, _coupling_discrepancy(sin_psi, transitions, seed))
-        checks += 1
-    return CheckOutcome("palindromic_coupling", _passes(worst, tolerance), worst, tolerance,
-                        checks, detail=f"{transitions} transitions per angle")
+    return _battery("palindromic_coupling",
+                    (_coupling_discrepancy(sin_psi, transitions, seed)
+                     for sin_psi in (0.25, 0.5, 1.0)),
+                    tolerance, detail=f"{transitions} transitions per angle")
 
 
 SUITES = {

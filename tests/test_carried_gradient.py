@@ -2,7 +2,9 @@
 
 A leg end carries the gradient of its position, tagged with the model's
 ``gradient`` function, and the refresh and the flip pass it on, since neither
-moves the position.  The next leg starts from it.  A chain must be the same,
+moves the position.  The next leg starts from it.  A start the kernel built
+keeps the gradient its first leg evaluates, so a flip back to it carries one
+too.  A chain must be the same,
 bit for bit, as the chain whose legs never see a carried gradient; only its
 force-evaluation counts fall, to ``steps`` per integrated leg.
 """
@@ -85,6 +87,17 @@ class TestForceEvaluationCounts:
         if not legs["diverged"]:
             assert rec.slots[0] <= 4  # the first transition accepts: only z0 pays the +1
             assert calls["gradient"] == 5 * legs["integrated"] + 1
+
+    def test_leading_flips_pay_for_the_start_once(self, counting):
+        # The chain flips back to its start twice before it first accepts; the
+        # start's gradient is evaluated by the first leg only.
+        model, calls = counting(builtin_target("double_well", 2))
+        config = SamplerConfig(leg=LegSpec(0.3, 5), psi=math.asin(0.4), extra_chances=1)
+        rec = run_chain(model, config, PhaseState([1.9, -1.9], [2.0, 2.0]),
+                        Budget(transitions=50), rng=chain_rng(0, 0))
+        assert list(rec.slots[:3]) == [3, 3, 1]
+        # No leg diverges here, so every candidate is an integrated leg.
+        assert calls["gradient"] == rec.total_force_evals == 5 * int(rec.candidates.sum()) + 1
 
     def test_burn_in_pays_for_the_first_leg(self):
         model = builtin_target("gaussian", 3)

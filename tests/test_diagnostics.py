@@ -183,6 +183,15 @@ class TestObservables:
                                "lo": -1.0, "hi": 1.0})
         assert self._apply(obs, [[0.5], [1.5]]) == [1.0, 0.0]
 
+    @pytest.mark.parametrize("kind", ["coordinate", "indicator"])
+    @pytest.mark.parametrize("index", [2.5, True, "2"])
+    def test_make_observable_rejects_a_non_integer_index(self, kind, index):
+        with pytest.raises(ValueError, match="index"):
+            make_observable({"kind": kind, "index": index, "lo": 0.0, "hi": 1.0})
+
+    def test_make_observable_takes_an_integral_index(self):
+        assert make_observable({"kind": "coordinate", "index": 2.0}).name == "x2"
+
     def test_make_observable_rejects_unknown(self):
         with pytest.raises(ValueError):
             make_observable("potato")

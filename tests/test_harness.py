@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import io
 import json
@@ -99,6 +100,10 @@ class TestParseSpec:
         ({**MINIMAL, "observable": {"kind": "indicator", "index": 1, "lo": 0, "hi": 1}},
          "observable"),
         ({**MINIMAL, "observable": {"kind": "coordinate"}}, "observable"),
+        *[({**MINIMAL, "dims": 3, "observable": {"kind": "coordinate", "index": bad}},
+           "observable") for bad in (2.5, True, "2")],
+        ({**MINIMAL, "dims": 3, "observable": {"kind": "indicator", "index": 1.5, "lo": 0,
+                                               "hi": 1}}, "observable"),
     ])
     def test_malformed_field_is_a_spec_error(self, tmp_path, raw, field):
         with pytest.raises(SpecError) as err:
@@ -244,6 +249,30 @@ class TestRunExperiment:
                               timeout=120, env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["[False,", "False,", "True]"]
+
+    @pytest.mark.parametrize("workers,cells,pool_size", [(64, 2, 2), (3, 4, 3), (5, 1, None)])
+    def test_pool_has_at_most_one_worker_per_replica(self, monkeypatch, workers, cells,
+                                                     pool_size):
+        # A stand-in pool that records its size and runs in-process: no worker starts.
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        report = run_experiment(tiny_spec(replicas=cells), workers=workers)
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert len(report.results[0]["replicas"]) == cells
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_worker_count_below_one_rejected(self, workers):

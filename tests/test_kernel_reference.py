@@ -5,7 +5,9 @@ on arrays it has already checked.  The reference below is the plain form of
 the same algorithm: every state goes through the checking ``PhaseState``
 constructor, every mass product through the public ``MassMatrix`` methods,
 every leg through its own loop.  Like the kernel, it starts each leg from the
-gradient the previous leg ended with, or, after a flip, from the start's.
+gradient the previous leg ended with, or, after a flip, from the start's.  A
+start without one (the chain's first state) gets it from its first leg, even
+if that leg diverges later, and keeps it through the flip.
 Under the same draws the two must agree bit for bit, force-evaluation
 counts included.
 """
@@ -25,9 +27,11 @@ from xchmc import (Budget, DivergedLeg, LegSpec, MassMatrix, PhaseState, Sampler
 # ---------------------------------------------------------------------------
 
 
-def ref_leg(model, spec, z, g=None):
+def ref_leg(model, spec, z, g=None, kept=None):
     """One leg from ``z``; ``g``, when given, is the gradient at ``z.x`` and is not
-    evaluated again.  Returns (end state, gradient evaluations, gradient at the end)."""
+    evaluated again.  A finite gradient evaluated at ``z.x`` is appended to the
+    list ``kept``, when given, even if the leg diverges later.  Returns (end
+    state, gradient evaluations, gradient at the end)."""
     x, y = z.x, z.y
     evals = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -36,6 +40,8 @@ def ref_leg(model, spec, z, g=None):
             evals += 1
             if not np.isfinite(g).all():
                 raise DivergedLeg(0, evals)
+            if kept is not None:
+                kept.append(g)
         y = y - (0.5 * spec.dt) * g
         for step in range(1, spec.steps):
             x = x + spec.dt * model.mass.apply_inverse(y)
@@ -91,7 +97,8 @@ def ref_refresh(model, z, psi, rng):
 
 def ref_step(model, config, z, g, rng, divergences):
     """One delayed-rejection transition from ``z`` with gradient ``g`` (None if not
-    known); returns (state, its gradient, slot, candidates, evals, dt)."""
+    known); returns (state, its gradient, slot, candidates, evals, dt).  After a
+    flip the gradient is the start's, evaluated by the first leg if ``g`` is None."""
     u = float(rng.uniform())
     f = config.jitter_fraction
     dt = config.leg.dt * (1.0 + float(rng.uniform(-f, f)))
@@ -102,9 +109,10 @@ def ref_step(model, config, z, g, rng, divergences):
     log_running = -math.inf
     evals = 0
     current, g_current = z, g
+    start_g = [g]
     for k in range(1, chances + 1):
         try:
-            current, n, g_current = ref_leg(model, leg, current, g_current)
+            current, n, g_current = ref_leg(model, leg, current, g_current, start_g)
         except DivergedLeg as err:
             evals += err.force_evals
             divergences.append(err.step_index)
@@ -115,7 +123,7 @@ def ref_step(model, config, z, g, rng, divergences):
         if log_ratio > -math.inf and log_u <= log_running:
             return PhaseState(current.x, current.y), g_current, k, k, evals, dt
     # A diverged leg and every candidate after it count as density zero.
-    return PhaseState(z.x, -z.y), g, chances + 1, chances, evals, dt
+    return PhaseState(z.x, -z.y), start_g[-1], chances + 1, chances, evals, dt
 
 
 def ref_chain(model, config, z0, transitions, rng):
