@@ -13,6 +13,8 @@ end-to-end metric is summarised over the 10 pairs: both sides' medians and
 quartiles, the pairs the change won (ties count for neither), the gain rule
 (at least 9 wins and a median gain above the parent's quartile distance) and
 the change's median as a share of the parent's, next to the metric's bound.
+A seed's outputs count as the same (``same_outputs``) when both sides' runs
+give the same sorted digests over all of their batches.
 Three traced pairs, alternating in the same way so that host drift does not
 show up as a per-layer difference, then give each side's per-layer medians.
 """
@@ -44,6 +46,17 @@ def load_spread(side: str, checkout: Path):
 
 def metric_values(run: dict) -> dict:
     return {k: m["value"] for k, m in run["result"]["metrics"].items()}
+
+
+def batch_digests(checkout: Path, workload: str, seed: int) -> list[str]:
+    """The distinct output digests of every batch of an untraced run in ``checkout``.
+
+    Repeats of an input set must give one digest within a run, so this is one
+    digest per input set, whatever number of batches fit in the run.
+    """
+    record = json.loads((checkout / ".perfbench_out"
+                         / f"{workload}-seed{seed}-trace0.json").read_text())
+    return sorted({b["digest"] for b in record["batches"]})
 
 
 def compare(runs: list[dict], metric: str, better: str, bound: float, spread) -> dict:
@@ -90,13 +103,13 @@ def main() -> int:
                              "failed": r["result"]["failed"],
                              "attempted": r["result"]["attempted"],
                              "metrics": metric_values(r), "uncalibrated": r["uncalibrated"],
-                             "digest": r["digest"]})
+                             "digests": batch_digests(checkouts[side], workload, seed)})
                 print(f"{workload} seed {seed} {side}: "
                       f"force_evals_per_s={runs[-1]['metrics']['force_evals_per_s']:.0f} "
                       f"correct={runs[-1]['correct']}", flush=True)
         digests = {}
         for r in runs:
-            digests.setdefault(r["seed"], set()).add(r["digest"])
+            digests.setdefault(r["seed"], set()).add(tuple(r["digests"]))
         summary = {m["name"]: compare(runs, m["name"], m["better"], m["bound"],
                                       spread_of["change"].spread)
                    for m in bench["end_to_end"]}

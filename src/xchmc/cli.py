@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from xchmc.diagnostics import series_average, slot_stats
-from xchmc.harness import (ExperimentSpec, SpecError, load_spec, run_experiment, sample_chain,
-                           write_chain_csv)
+from xchmc.harness import (ExperimentSpec, SpecError, _spec_payload, load_spec, parse_spec,
+                           run_experiment, sample_chain, write_chain_csv)
 from xchmc.rng import chain_rng
 from xchmc.verification import SUITES, verify
 
@@ -39,15 +39,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=int, required=True)
     p.add_argument("--dt", type=float, required=True, help="integration step size")
     p.add_argument("--steps", type=int, required=True, help="Verlet steps per leg (L)")
-    p.add_argument("--sin-psi", type=float, default=1.0,
+    p.add_argument("--sin-psi", type=float, default=ExperimentSpec.sin_psi,
                    help="sine of the momentum refresh angle, in (0, 1]")
-    p.add_argument("--extra-chances", type=int, default=0,
+    p.add_argument("--extra-chances", type=int, default=ExperimentSpec.extra_chances,
                    help="extra candidate legs offered before a momentum flip (K)")
-    p.add_argument("--jitter", type=float, default=0.05,
+    p.add_argument("--jitter", type=float, default=ExperimentSpec.jitter,
                    help="relative step-size jitter per transition")
     p.add_argument("--budget", type=int, default=100_000, help="force-evaluation budget")
-    p.add_argument("--burn-in", type=int, default=500, help="discarded warmup transitions")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--burn-in", type=int, default=ExperimentSpec.burn_in,
+                   help="discarded warmup transitions")
+    p.add_argument("--seed", type=int, default=ExperimentSpec.seed)
     p.add_argument("--out", type=Path, default=None, help="output file (default: stdout summary)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--momenta", action="store_true", help="include momenta in CSV output")
@@ -77,21 +78,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_sample(args) -> int:
     # One replica of a dt "sweep" at --dt, on the stream chain_rng(seed, 0).
-    spec = ExperimentSpec(target=args.target, dims=args.dims, steps=args.steps,
-                          sin_psi=args.sin_psi, extra_chances=args.extra_chances,
-                          jitter=args.jitter, budget_force_evals=args.budget,
-                          burn_in=args.burn_in, seed=args.seed)
-    record = sample_chain(spec, args.dt, chain_rng(args.seed, 0))
+    spec = parse_spec({
+        "target": args.target, "dims": args.dims, "sweep": "dt", "values": [args.dt],
+        "fixed": {"L": args.steps, "sin_psi": args.sin_psi, "K": args.extra_chances,
+                  "jitter": args.jitter},
+        "replicas": 1, "budget_force_evals": args.budget, "burn_in": args.burn_in,
+        "seed": args.seed, "include_momenta": args.momenta})
+    record = sample_chain(spec, spec.sweep_values[0], chain_rng(spec.seed, 0))
     stats = slot_stats(record)
     if args.out is not None:
         if args.format == "csv":
-            write_chain_csv(record, args.out, include_momenta=args.momenta)
+            write_chain_csv(record, args.out, include_momenta=spec.include_momenta)
         else:
             payload = {
-                "target": args.target, "dims": args.dims,
-                "dt": args.dt, "steps": args.steps, "sin_psi": args.sin_psi,
-                "extra_chances": args.extra_chances, "jitter": args.jitter,
-                "seed": args.seed, "burn_in": args.burn_in,
+                "spec": _spec_payload(spec),
                 "transitions": record.transitions,
                 "force_evals": record.total_force_evals,
                 "slots": record.slots.tolist(),

@@ -165,8 +165,7 @@ class Observable:
 
 
 def coordinate(index: int) -> Observable:
-    if index < 0:
-        raise ValueError("coordinate index must be non-negative")
+    index = _integer("index", index, 0)
     return Observable(f"x{index}", lambda x: float(x[index]),
                       lambda positions: positions[:, index])
 
@@ -177,8 +176,7 @@ def squared_radius() -> Observable:
 
 
 def interval_indicator(index: int, lo: float, hi: float) -> Observable:
-    if index < 0:
-        raise ValueError("coordinate index must be non-negative")
+    index = _integer("index", index, 0)
     if not lo < hi:
         raise ValueError("need lo < hi")
     # As floats, so that both forms compare the same numbers.
@@ -202,7 +200,8 @@ def make_observable(spec) -> Observable:
     Dicts: ``{"kind": "coordinate", "index": i}``,
     ``{"kind": "squared_radius"}``, or
     ``{"kind": "indicator", "index": i, "lo": a, "hi": b}``.  An index must
-    be a non-negative integer (an integral float passes; a bool does not).
+    be a non-negative integer (an integral float passes; a bool does not), as
+    :func:`coordinate` and :func:`interval_indicator` check.
     """
     if isinstance(spec, Observable):
         return spec
@@ -218,12 +217,11 @@ def make_observable(spec) -> Observable:
             raise ValueError(f"unknown observable keys: {sorted(unknown)}")
         kind = spec.get("kind")
         if kind == "coordinate":
-            return coordinate(_integer("index", spec["index"], 0))
+            return coordinate(spec["index"])
         if kind == "squared_radius":
             return squared_radius()
         if kind == "indicator":
-            return interval_indicator(_integer("index", spec["index"], 0), float(spec["lo"]),
-                                      float(spec["hi"]))
+            return interval_indicator(spec["index"], float(spec["lo"]), float(spec["hi"]))
         raise ValueError(f"unknown observable kind {kind!r}")
     raise ValueError(f"cannot interpret observable spec of type {type(spec).__name__}")
 

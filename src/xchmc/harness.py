@@ -177,9 +177,9 @@ def parse_spec(raw: dict) -> ExperimentSpec:
              "fixed.leg_span", "give either L or leg_span, not both")
 
     # A swept sin_psi or K is absent from ``fixed``, so its unused default is checked here.
-    sin_psi = _as_sin_psi(fixed.get("sin_psi", 1.0), "fixed.sin_psi")
-    extra_chances = _as_positive_int(fixed.get("K", 0), "fixed.K")
-    jitter = fixed.get("jitter", 0.05)
+    sin_psi = _as_sin_psi(fixed.get("sin_psi", ExperimentSpec.sin_psi), "fixed.sin_psi")
+    extra_chances = _as_positive_int(fixed.get("K", ExperimentSpec.extra_chances), "fixed.K")
+    jitter = fixed.get("jitter", ExperimentSpec.jitter)
     _require(_is_number(jitter) and 0.0 <= jitter < 1.0, "fixed.jitter", "must lie in [0, 1)")
 
     # Leg geometry must be fully determined for every sweep value.
@@ -199,12 +199,13 @@ def parse_spec(raw: dict) -> ExperimentSpec:
                    "sin_psi": _as_sin_psi, "K": _as_positive_int}[axis]
     checked_values = tuple(check_value(v, f"sweep.values[{i}]") for i, v in enumerate(values))
 
-    replicas = _as_positive_int(raw.get("replicas", 10), "replicas", minimum=1)
-    budget = _as_positive_int(raw.get("budget_force_evals", 1_000_000),
+    replicas = _as_positive_int(raw.get("replicas", ExperimentSpec.replicas), "replicas",
+                                minimum=1)
+    budget = _as_positive_int(raw.get("budget_force_evals", ExperimentSpec.budget_force_evals),
                               "budget_force_evals", minimum=1)
-    burn_in = _as_positive_int(raw.get("burn_in", 500), "burn_in")
-    seed = _as_positive_int(raw.get("seed", 0), "seed")
-    observable = raw.get("observable", "x0")
+    burn_in = _as_positive_int(raw.get("burn_in", ExperimentSpec.burn_in), "burn_in")
+    seed = _as_positive_int(raw.get("seed", ExperimentSpec.seed), "seed")
+    observable = raw.get("observable", ExperimentSpec.observable)
     # Evaluated once at the origin, so that every replica can evaluate it.
     try:
         make_observable(observable).fn(np.zeros(dims))
@@ -217,7 +218,7 @@ def parse_spec(raw: dict) -> ExperimentSpec:
         raise SpecError("observable", str(exc)) from None
     out_dir = raw.get("out_dir")
     _require(out_dir is None or isinstance(out_dir, str), "out_dir", "must be a string path")
-    include_momenta = raw.get("include_momenta", False)
+    include_momenta = raw.get("include_momenta", ExperimentSpec.include_momenta)
     _require(isinstance(include_momenta, bool), "include_momenta", "must be a boolean")
 
     spec = ExperimentSpec(
@@ -265,7 +266,7 @@ def _config_for(spec: ExperimentSpec, value) -> SamplerConfig:
         steps = max(1, round(leg_span / dt))
     return SamplerConfig(
         leg=LegSpec(dt=dt, steps=steps),
-        psi=math.asin(_as_sin_psi(sin_psi, "sin_psi")),
+        psi=math.asin(sin_psi),
         extra_chances=extra,
         jitter_fraction=spec.jitter,
         seed=spec.seed,
@@ -273,10 +274,10 @@ def _config_for(spec: ExperimentSpec, value) -> SamplerConfig:
 
 
 def _spec_payload(spec: ExperimentSpec) -> dict:
-    """The spec as plain data for workers and ``summary.json``; the output directory is left out."""
+    """The spec's one JSON form, without ``out_dir``: ``summary.json`` and ``xchmc sample``."""
     payload = dataclasses.asdict(spec)
     del payload["out_dir"]
-    return payload
+    return _json_safe(payload)
 
 
 def sample_chain(spec: ExperimentSpec, value, rng) -> ChainRecord:
@@ -299,7 +300,7 @@ def _run_replica(payload: dict) -> dict:
     The replica stream is chain_rng(seed, value_index, replica_index); see
     :func:`sample_chain` for the draws.
     """
-    spec = ExperimentSpec(**payload["spec"])
+    spec = payload["spec"]
     value_index = payload["value_index"]
     replica = payload["replica"]
     try:
@@ -413,9 +414,8 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> SummaryReport:
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, not {workers}")
-    spec_payload = _spec_payload(spec)
     payloads = [
-        {"spec": spec_payload, "value": value, "value_index": i, "replica": r}
+        {"spec": spec, "value": value, "value_index": i, "replica": r}
         for i, value in enumerate(spec.sweep_values)
         for r in range(spec.replicas)
     ]

@@ -84,8 +84,8 @@ class SlotDistribution:
     ``sigma[k-1]`` is the cumulative acceptance threshold after k candidate
     legs; ``p[k-1]`` is the probability of landing in acceptance slot k, with
     the final entry the momentum-flip probability.  ``log_sigma`` carries the
-    thresholds in log space, which is what the transition actually compares
-    against (guards against underflow in high dimension).
+    thresholds in log space (no underflow in high dimension); the transition
+    does not read it, as :func:`extra_chance_step` keeps its own running one.
     """
 
     sigma: np.ndarray

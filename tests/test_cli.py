@@ -9,6 +9,7 @@ import pytest
 from xchmc import (Budget, LegSpec, PhaseState, SamplerConfig, builtin_target, chain_rng,
                    coordinate, estimate_average, run_chain, write_chain_csv)
 from xchmc.cli import main
+from xchmc.harness import _spec_payload, parse_spec
 
 SAMPLE = ["sample", "--target", "gaussian", "--dims", "1", "--dt", "0.3",
           "--steps", "4", "--budget", "600", "--burn-in", "5", "--seed", "3"]
@@ -46,7 +47,13 @@ class TestSample:
         code = main(SAMPLE + ["--out", str(out), "--format", "json"])
         assert code == 0
         payload = json.loads(out.read_text())
-        assert payload["target"] == "gaussian"
+        assert set(payload) == {"spec", "transitions", "force_evals", "slots", "dt_used",
+                                "positions", "momenta"}
+        # The spec block is that of summary.json for the same settings as a spec file.
+        assert payload["spec"] == _spec_payload(parse_spec({
+            "target": "gaussian", "dims": 1, "sweep": "dt", "values": [0.3],
+            "fixed": {"L": 4}, "replicas": 1, "budget_force_evals": 600, "burn_in": 5,
+            "seed": 3}))
         assert payload["force_evals"] >= 600
         assert len(payload["positions"]) == payload["transitions"] + 1
 
@@ -75,6 +82,28 @@ class TestSample:
         code = main(SAMPLE + ["--sin-psi", "1.5"])
         assert code == 1
         assert "(0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option,value,field", [
+        ("--budget", "0", "budget_force_evals"),
+        ("--seed", "-1", "seed"),
+        ("--steps", "0", "fixed.L"),
+        ("--jitter", "1.0", "fixed.jitter"),
+        ("--extra-chances", "-1", "fixed.K"),
+        ("--dims", "0", "dims"),
+    ])
+    def test_bad_value_is_usage_error_naming_the_spec_field(self, option, value, field,
+                                                            capsys):
+        # A later option overrides the one in SAMPLE.
+        assert main(SAMPLE + [option, value]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+    def test_bad_value_fails_before_any_transition(self, monkeypatch, capsys):
+        def no_chain(*args, **kwargs):
+            raise AssertionError("run_chain called for an invalid spec")
+
+        monkeypatch.setattr("xchmc.harness.run_chain", no_chain)
+        assert main(SAMPLE + ["--budget", "0"]) == 1
+        assert "budget_force_evals" in capsys.readouterr().err
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 1

@@ -192,6 +192,18 @@ class TestObservables:
     def test_make_observable_takes_an_integral_index(self):
         assert make_observable({"kind": "coordinate", "index": 2.0}).name == "x2"
 
+    def test_constructors_reject_a_bool_index(self):
+        # A bool would index a (n, 1, d) broadcast and average every coordinate.
+        with pytest.raises(ValueError, match="index"):
+            coordinate(True)
+        with pytest.raises(ValueError, match="index"):
+            interval_indicator(True, 0.0, 1.0)
+
+    @pytest.mark.parametrize("index", [2.0, np.int64(2)])
+    def test_constructors_name_an_integral_index_as_an_int(self, index):
+        assert coordinate(index).name == "x2"
+        assert interval_indicator(index, 0.0, 1.0).name == "ind_x2_0_1"
+
     def test_make_observable_rejects_unknown(self):
         with pytest.raises(ValueError):
             make_observable("potato")
