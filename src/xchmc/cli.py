@@ -18,7 +18,6 @@ import numpy as np
 from xchmc.diagnostics import series_average, slot_stats
 from xchmc.harness import (ExperimentSpec, SpecError, _spec_payload, load_spec, parse_spec,
                            run_experiment, sample_chain, write_chain_csv)
-from xchmc.rng import chain_rng
 from xchmc.verification import SUITES, verify
 
 EXIT_OK = 0
@@ -77,14 +76,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sample(args) -> int:
-    # One replica of a dt "sweep" at --dt, on the stream chain_rng(seed, 0).
+    # Replica (0, 0) of the one-value dt sweep at --dt, as `xchmc sweep` runs it.
     spec = parse_spec({
         "target": args.target, "dims": args.dims, "sweep": "dt", "values": [args.dt],
         "fixed": {"L": args.steps, "sin_psi": args.sin_psi, "K": args.extra_chances,
                   "jitter": args.jitter},
         "replicas": 1, "budget_force_evals": args.budget, "burn_in": args.burn_in,
         "seed": args.seed, "include_momenta": args.momenta})
-    record = sample_chain(spec, spec.sweep_values[0], chain_rng(spec.seed, 0))
+    record = sample_chain(spec, 0, 0)
     stats = slot_stats(record)
     if args.out is not None:
         if args.format == "csv":
@@ -149,10 +148,14 @@ def _cmd_ess(args) -> int:
                                  f"but the row has only {len(row)}")
             if row[idx] != "":
                 try:
-                    values.append(float(row[idx]))
+                    value = float(row[idx])
                 except ValueError:
                     raise ValueError(f"{where}: {row[idx]!r} in column {args.column!r} "
                                      "is not a number") from None
+                if not math.isfinite(value):
+                    raise ValueError(f"{where}: {row[idx]!r} in column {args.column!r} "
+                                     "is not a finite number")
+                values.append(value)
     values = np.array(values)
     mean, ess, stderr = series_average(values)
     payload = {"column": args.column, "n": int(values.size), "mean": mean,

@@ -13,7 +13,7 @@ import numpy as np
 
 from xchmc.diagnostics import estimate_average, make_observable, slot_stats
 from xchmc.integrator import LegSpec
-from xchmc.phase import PhaseState, builtin_target
+from xchmc.phase import PhaseState, _integer, builtin_target
 from xchmc.rng import chain_rng
 from xchmc.sampler import Budget, ChainRecord, SamplerConfig, run_chain
 
@@ -73,21 +73,24 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _as_positive_int(value, field_name: str, minimum: int = 0) -> int:
-    _require(isinstance(value, int) and not isinstance(value, bool) and value >= minimum,
-             field_name, f"must be an integer >= {minimum}")
-    return int(value)
+# Each check takes the spec field that holds the value and the parameter it sets,
+# which differ for a sweep value: field ``sweep.values[i]``, parameter the axis.
+def _as_positive_int(value, field_name: str, name: str, minimum: int = 0) -> int:
+    try:
+        return _integer(name, value, minimum)
+    except ValueError as exc:
+        raise SpecError(field_name, str(exc)) from None
 
 
-def _as_positive_float(value, field_name: str) -> float:
+def _as_positive_float(value, field_name: str, name: str) -> float:
     _require(_is_number(value) and math.isfinite(value) and value > 0,
-             field_name, "must be a positive number")
+             field_name, f"{name} must be a positive number")
     return float(value)
 
 
-def _as_sin_psi(value, field_name: str) -> float:
+def _as_sin_psi(value, field_name: str, name: str) -> float:
     _require(_is_number(value) and 0.0 < value <= 1.0, field_name,
-             "must lie in (0, 1] (it is the sine of the refresh angle)")
+             f"{name} must lie in (0, 1] (it is the sine of the refresh angle)")
     return float(value)
 
 
@@ -137,7 +140,7 @@ def parse_spec(raw: dict) -> ExperimentSpec:
         params = _as_object(target_raw.get("params"), "target.params")
         dims = params.pop("dims", None)
         _require(dims is not None, "target.params.dims", "is required")
-    dims = _as_positive_int(dims, "dims", minimum=1)
+    dims = _as_positive_int(dims, "dims", "dims", minimum=1)
 
     # --- sweep ----------------------------------------------------------
     sweep_raw = raw.get("sweep")
@@ -166,21 +169,24 @@ def parse_spec(raw: dict) -> ExperimentSpec:
 
     dt = fixed.get("dt")
     if dt is not None:
-        dt = _as_positive_float(dt, "fixed.dt")
+        dt = _as_positive_float(dt, "fixed.dt", "dt")
     steps = fixed.get("L")
     if steps is not None:
-        steps = _as_positive_int(steps, "fixed.L", minimum=1)
+        steps = _as_positive_int(steps, "fixed.L", "L", minimum=1)
     leg_span = fixed.get("leg_span")
     if leg_span is not None:
-        leg_span = _as_positive_float(leg_span, "fixed.leg_span")
+        leg_span = _as_positive_float(leg_span, "fixed.leg_span", "leg_span")
     _require(not (steps is not None and leg_span is not None),
              "fixed.leg_span", "give either L or leg_span, not both")
 
     # A swept sin_psi or K is absent from ``fixed``, so its unused default is checked here.
-    sin_psi = _as_sin_psi(fixed.get("sin_psi", ExperimentSpec.sin_psi), "fixed.sin_psi")
-    extra_chances = _as_positive_int(fixed.get("K", ExperimentSpec.extra_chances), "fixed.K")
+    sin_psi = _as_sin_psi(fixed.get("sin_psi", ExperimentSpec.sin_psi), "fixed.sin_psi",
+                          "sin_psi")
+    extra_chances = _as_positive_int(fixed.get("K", ExperimentSpec.extra_chances), "fixed.K",
+                                     "K")
     jitter = fixed.get("jitter", ExperimentSpec.jitter)
-    _require(_is_number(jitter) and 0.0 <= jitter < 1.0, "fixed.jitter", "must lie in [0, 1)")
+    _require(_is_number(jitter) and 0.0 <= jitter < 1.0, "fixed.jitter",
+             "jitter must lie in [0, 1)")
 
     # Leg geometry must be fully determined for every sweep value.
     if axis == "dt":
@@ -197,14 +203,13 @@ def parse_spec(raw: dict) -> ExperimentSpec:
     # --- sweep values -----------------------------------------------------
     check_value = {"dt": _as_positive_float, "leg_span": _as_positive_float,
                    "sin_psi": _as_sin_psi, "K": _as_positive_int}[axis]
-    checked_values = tuple(check_value(v, f"sweep.values[{i}]") for i, v in enumerate(values))
+    checked_values = tuple(check_value(v, f"sweep.values[{i}]", axis)
+                           for i, v in enumerate(values))
 
-    replicas = _as_positive_int(raw.get("replicas", ExperimentSpec.replicas), "replicas",
-                                minimum=1)
-    budget = _as_positive_int(raw.get("budget_force_evals", ExperimentSpec.budget_force_evals),
-                              "budget_force_evals", minimum=1)
-    burn_in = _as_positive_int(raw.get("burn_in", ExperimentSpec.burn_in), "burn_in")
-    seed = _as_positive_int(raw.get("seed", ExperimentSpec.seed), "seed")
+    integers = {name: _as_positive_int(raw.get(name, getattr(ExperimentSpec, name)), name, name,
+                                       minimum)
+                for name, minimum in (("replicas", 1), ("budget_force_evals", 1),
+                                      ("burn_in", 0), ("seed", 0))}
     observable = raw.get("observable", ExperimentSpec.observable)
     # Evaluated once at the origin, so that every replica can evaluate it.
     try:
@@ -226,9 +231,7 @@ def parse_spec(raw: dict) -> ExperimentSpec:
         sweep_axis=axis, sweep_values=checked_values,
         dt=dt, steps=steps, leg_span=leg_span, sin_psi=sin_psi,
         extra_chances=extra_chances, jitter=float(jitter),
-        replicas=replicas, budget_force_evals=budget, burn_in=burn_in,
-        observable=observable, seed=seed, out_dir=out_dir,
-        include_momenta=include_momenta,
+        observable=observable, out_dir=out_dir, include_momenta=include_momenta, **integers,
     )
     # Fail fast on bad target parameters rather than inside a worker.
     try:
@@ -280,14 +283,16 @@ def _spec_payload(spec: ExperimentSpec) -> dict:
     return _json_safe(payload)
 
 
-def sample_chain(spec: ExperimentSpec, value, rng) -> ChainRecord:
-    """One chain of ``spec`` at the sweep value ``value``, drawing from ``rng``.
+def sample_chain(spec: ExperimentSpec, value_index: int, replica: int) -> ChainRecord:
+    """Replica ``replica`` of ``spec`` at its sweep value ``value_index``.
 
-    The start is the origin with momentum M^1/2 zeta, zeta the first ``dims``
-    normals of ``rng``; then come the burn-in and the force-evaluation budget.
+    The chain draws from ``chain_rng(spec.seed, value_index, replica)``.  Its
+    start is the origin with momentum M^1/2 zeta, zeta the first ``dims``
+    normals of that stream; then come the burn-in and the force-evaluation budget.
     """
+    rng = chain_rng(spec.seed, value_index, replica)
     model = builtin_target(spec.target, spec.dims, **spec.target_params)
-    config = _config_for(spec, value)
+    config = _config_for(spec, spec.sweep_values[value_index])
     y0 = model.mass.sqrt_apply(rng.standard_normal(spec.dims))
     z0 = PhaseState(np.zeros(spec.dims), y0)
     budget = Budget(force_evals=spec.budget_force_evals, burn_in=spec.burn_in)
@@ -295,16 +300,13 @@ def sample_chain(spec: ExperimentSpec, value, rng) -> ChainRecord:
 
 
 def _run_replica(payload: dict) -> dict:
-    """Run one (sweep value, replica) cell; module-level so worker pools can pickle it.
-
-    The replica stream is chain_rng(seed, value_index, replica_index); see
-    :func:`sample_chain` for the draws.
-    """
+    """Run one (sweep value, replica) cell of :func:`sample_chain`; module-level so
+    worker pools can pickle it."""
     spec = payload["spec"]
     value_index = payload["value_index"]
     replica = payload["replica"]
     try:
-        record = sample_chain(spec, payload["value"], chain_rng(spec.seed, value_index, replica))
+        record = sample_chain(spec, value_index, replica)
         stats = slot_stats(record)
         estimate = estimate_average(record, make_observable(spec.observable))
         slots = {f"a{k}": float(stats.acceptance_fractions[k])
@@ -407,18 +409,14 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> SummaryReport:
     """Run the full sweep: replicas x sweep values, aggregation, and reporting.
 
     Every (value, replica) cell runs on its own deterministic sub-stream, so
-    results do not depend on scheduling or on ``workers``, which must be at
-    least 1.  Per-replica failures are recorded in place of their entry.
+    results do not depend on scheduling or on ``workers``, an integer >= 1.
+    Per-replica failures are recorded in place of their entry.
     When ``spec.out_dir`` is set, one CSV per replica plus ``summary.json``
     are written there.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, not {workers}")
-    payloads = [
-        {"spec": spec, "value": value, "value_index": i, "replica": r}
-        for i, value in enumerate(spec.sweep_values)
-        for r in range(spec.replicas)
-    ]
+    workers = _integer("workers", workers, 1)
+    payloads = [{"spec": spec, "value_index": i, "replica": r}
+                for i in range(len(spec.sweep_values)) for r in range(spec.replicas)]
     out_dir = Path(spec.out_dir) if spec.out_dir else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -6,6 +6,8 @@ from collections import deque
 
 import numpy as np
 
+from xchmc.phase import _integer
+
 __all__ = ["chain_rng", "ScriptedRng"]
 
 
@@ -14,10 +16,11 @@ def chain_rng(master_seed: int, *indices: int) -> np.random.Generator:
 
     The sub-stream is ``SeedSequence(master_seed, spawn_key=indices)``: mixing
     the chain/replica indices into the spawn key guarantees independent,
-    reproducible streams for every (seed, indices) combination.
+    reproducible streams for every (seed, indices) combination.  The seed and
+    every index must be integers >= 0 (``phase._integer``).
     """
-    ss = np.random.SeedSequence(entropy=int(master_seed),
-                                spawn_key=tuple(int(i) for i in indices))
+    ss = np.random.SeedSequence(entropy=_integer("master_seed", master_seed, 0),
+                                spawn_key=tuple(_integer("index", i, 0) for i in indices))
     return np.random.default_rng(ss)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 from xchmc.diagnostics import check_main_identity
 from xchmc.integrator import (DivergedLeg, LegSpec, check_reversibility,
                               check_volume_preservation)
-from xchmc.phase import PhaseState, TargetModel, _unchecked, builtin_target
+from xchmc.phase import PhaseState, TargetModel, _integer, _unchecked, builtin_target
 from xchmc.rng import ScriptedRng, chain_rng
 from xchmc.sampler import (Budget, SamplerConfig, _forward_log_ratios, couple_noise,
                            lahmc_from_log_ratios, run_chain, run_palindromic_chain,
@@ -76,12 +76,6 @@ def _random_state(rng: np.random.Generator, dim: int) -> PhaseState:
     return _unchecked(PhaseState, x=rng.standard_normal(dim), y=rng.standard_normal(dim))
 
 
-def _check_size(name: str, value: int) -> None:
-    """A battery of no checks would pass vacuously, so its size must be at least 1."""
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, not {value!r}")
-
-
 def _battery(name: str, results, tolerance: float, required: int = 1,
              detail: str = "") -> CheckOutcome:
     """The outcome of a battery from the check results that ``results`` yields.
@@ -109,7 +103,8 @@ def _battery(name: str, results, tolerance: float, required: int = 1,
 def _leg_battery(name: str, check, stream: int, points_per_target: int, seed: int,
                  tolerance: float) -> CheckOutcome:
     """Worst ``check(model, leg, z)`` over 5-step legs and random states z of every target."""
-    _check_size("points_per_target", points_per_target)
+    # A battery of no checks would pass vacuously, so every size is at least 1.
+    points_per_target = _integer("points_per_target", points_per_target, 1)
     rng = chain_rng(seed, stream)
     return _battery(name, (check(model, leg, _random_state(rng, model.dim))
                            for model, leg in _battery_legs(5)
@@ -137,7 +132,7 @@ def verify_main_identity(triples: int = 1000, seed: int = DEFAULT_SEED,
     Triples whose orbits diverge five times running are skipped; the battery
     fails unless at least half of them, and at least one, were checked.
     """
-    _check_size("triples", triples)
+    triples = _integer("triples", triples, 1)
     rng = chain_rng(seed, 3)
     targets = _battery_legs(5)
 
@@ -168,7 +163,7 @@ def _lahmc_gap(model: TargetModel, leg: LegSpec, z: PhaseState, extra_chances: i
 def verify_lahmc_equivalence(triples: int = 1000, seed: int = DEFAULT_SEED,
                              tolerance: float = 1e-12) -> CheckOutcome:
     """Cumulative look-ahead probabilities must equal the slot thresholds."""
-    _check_size("triples", triples)
+    triples = _integer("triples", triples, 1)
     rng = chain_rng(seed, 4)
     targets = _battery_legs(3)
     chance_counts = (1, 2, 3, 5)
@@ -216,7 +211,7 @@ def _coupling_discrepancy(sin_psi: float, transitions: int, seed: int) -> float:
 def verify_palindromic_coupling(transitions: int = 100, seed: int = DEFAULT_SEED,
                                 tolerance: float = 1e-12) -> CheckOutcome:
     """The coupled palindromic and single-refresh chains must share positions."""
-    _check_size("transitions", transitions)
+    transitions = _integer("transitions", transitions, 1)
     return _battery("palindromic_coupling",
                     (_coupling_discrepancy(sin_psi, transitions, seed)
                      for sin_psi in (0.25, 0.5, 1.0)),

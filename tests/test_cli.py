@@ -22,11 +22,11 @@ def run_sample(tmp_path, *extra):
 
 
 def hand_run_sample(sin_psi=1.0, extra_chances=0, jitter=0.05):
-    """The chain of SAMPLE, run without the CLI: start (0, M^1/2 zeta) on chain_rng(3, 0)."""
+    """The chain of SAMPLE, run without the CLI: start (0, M^1/2 zeta) on chain_rng(3, 0, 0)."""
     model = builtin_target("gaussian", 1)
     config = SamplerConfig(leg=LegSpec(0.3, 4), psi=math.asin(sin_psi),
                            extra_chances=extra_chances, jitter_fraction=jitter, seed=3)
-    rng = chain_rng(3, 0)
+    rng = chain_rng(3, 0, 0)
     z0 = PhaseState([0.0], model.mass.sqrt_apply(rng.standard_normal(1)))
     return run_chain(model, config, z0, Budget(force_evals=600, burn_in=5), rng=rng)
 
@@ -72,6 +72,20 @@ class TestSample:
                         include_momenta=True)
         assert out.read_bytes() == expected.read_bytes()
 
+    def test_momenta_csv_is_replica_0_0_of_its_spec_swept(self, tmp_path, capsys):
+        # The one-value spec that SAMPLE describes, run through `xchmc sweep`.
+        code, out = run_sample(tmp_path, "--momenta", "--sin-psi", "0.5",
+                               "--extra-chances", "2", "--jitter", "0.2")
+        assert code == 0
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "target": "gaussian", "dims": 1, "sweep": "dt", "values": [0.3],
+            "fixed": {"L": 4, "sin_psi": 0.5, "K": 2, "jitter": 0.2}, "replicas": 1,
+            "budget_force_evals": 600, "burn_in": 5, "seed": 3, "include_momenta": True,
+            "out_dir": str(tmp_path / "runs")}))
+        assert main(["sweep", "--spec", str(spec)]) == 0
+        assert out.read_bytes() == (tmp_path / "runs" / "dt_00_rep00.csv").read_bytes()
+
     def test_unknown_target_is_usage_error(self, tmp_path, capsys):
         code = main(["sample", "--target", "volcano", "--dims", "1",
                      "--dt", "0.3", "--steps", "4"])
@@ -83,19 +97,21 @@ class TestSample:
         assert code == 1
         assert "(0, 1]" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("option,value,field", [
-        ("--budget", "0", "budget_force_evals"),
-        ("--seed", "-1", "seed"),
-        ("--steps", "0", "fixed.L"),
-        ("--jitter", "1.0", "fixed.jitter"),
-        ("--extra-chances", "-1", "fixed.K"),
-        ("--dims", "0", "dims"),
+    @pytest.mark.parametrize("option,value,field,name", [
+        ("--budget", "0", "budget_force_evals", "budget_force_evals"),
+        ("--seed", "-1", "seed", "seed"),
+        ("--steps", "0", "fixed.L", "L"),
+        ("--jitter", "1.0", "fixed.jitter", "jitter"),
+        ("--extra-chances", "-1", "fixed.K", "K"),
+        ("--dims", "0", "dims", "dims"),
+        ("--dt", "0", "sweep.values[0]", "dt"),
+        ("--dt", "nan", "sweep.values[0]", "dt"),
     ])
-    def test_bad_value_is_usage_error_naming_the_spec_field(self, option, value, field,
+    def test_bad_value_is_usage_error_naming_the_spec_field(self, option, value, field, name,
                                                             capsys):
-        # A later option overrides the one in SAMPLE.
+        # A later option overrides the one in SAMPLE; the message names the parameter.
         assert main(SAMPLE + [option, value]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+        assert capsys.readouterr().err.startswith(f"error: {field}: {name} must ")
 
     def test_bad_value_fails_before_any_transition(self, monkeypatch, capsys):
         def no_chain(*args, **kwargs):
@@ -177,6 +193,8 @@ class TestEss:
         ("t,v\n0,1.0\n1\n2,3.0\n", 3, "is field 2, but the row has only 1"),
         ("t,v\n0,1.0\n\n", 3, "is field 2, but the row has only 0"),
         ("t,v\n0,1.0\n1,abc\n", 3, "'abc' in column 'v' is not a number"),
+        *[(f"t,v\n0,1.0\n1,2.0\n2,{cell}\n", 4, f"{cell!r} in column 'v' is not a finite number")
+          for cell in ("nan", "inf", "-inf")],
     ])
     def test_malformed_csv_is_usage_error_naming_the_line(self, tmp_path, capsys, text, line,
                                                           detail):

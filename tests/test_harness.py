@@ -16,7 +16,7 @@ from xchmc import (Budget, PhaseState, SpecError, builtin_target, chain_rng,
                    run_experiment, write_chain_csv)
 import xchmc.harness as harness
 from xchmc.cli import main
-from xchmc.harness import _config_for
+from xchmc.harness import _config_for, sample_chain
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 MINIMAL = {"target": "gaussian", "dims": 1, "sweep": "dt", "values": [0.3],
@@ -96,6 +96,7 @@ class TestParseSpec:
         ({**MINIMAL, "sweep": "sin_psi", "values": [0.5, True], "fixed": {"dt": 0.2, "L": 4}},
          "sweep.values[1]"),
         ({**MINIMAL, "fixed": {"L": 4, "jitter": False}}, "fixed.jitter"),
+        *[({**MINIMAL, "replicas": bad}, "replicas") for bad in (True, 2.5)],
         ({**MINIMAL, "dims": 2, "observable": "x5"}, "observable"),
         ({**MINIMAL, "observable": {"kind": "indicator", "index": 1, "lo": 0, "hi": 1}},
          "observable"),
@@ -112,6 +113,11 @@ class TestParseSpec:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(raw))
         assert main(["sweep", "--spec", str(path)]) == 1
+
+    @pytest.mark.parametrize("two", [2.0, np.int64(2)], ids=["float", "numpy"])
+    def test_integral_replicas_read_as_int(self, two):
+        replicas = parse_spec({**MINIMAL, "replicas": two}).replicas
+        assert replicas == 2 and type(replicas) is int
 
     def test_bad_axis_rejected(self):
         with pytest.raises(SpecError, match="sweep.axis"):
@@ -274,10 +280,23 @@ class TestRunExperiment:
         assert sizes == ([] if pool_size is None else [pool_size])
         assert len(report.results[0]["replicas"]) == cells
 
-    @pytest.mark.parametrize("workers", [0, -3])
+    @pytest.mark.parametrize("workers", [0, -3, True, 2.5])
     def test_worker_count_below_one_rejected(self, workers):
         with pytest.raises(ValueError, match="workers"):
             run_experiment(tiny_spec(), workers=workers)
+
+    def test_numpy_worker_count_runs(self):
+        spec = tiny_spec()
+        assert run_experiment(spec, workers=np.int64(2)).json_bytes() == \
+               run_experiment(spec, workers=1).json_bytes()
+
+    def test_sample_chain_is_the_replica_of_its_indices(self, tmp_path):
+        spec = tiny_spec(replicas=2, values=[0.2, 0.4], out_dir=str(tmp_path),
+                         include_momenta=True)
+        run_experiment(spec)
+        expected = tmp_path / "expected.csv"
+        write_chain_csv(sample_chain(spec, 1, 1), expected, include_momenta=True)
+        assert expected.read_bytes() == (tmp_path / "dt_01_rep01.csv").read_bytes()
 
     def test_worker_count_does_not_change_output_files(self, tmp_path):
         # CSVs are written as each replica's result arrives; the files must

@@ -22,6 +22,16 @@ class TestChainRng:
         assert np.array_equal(chain_rng(9, 2, 3).standard_normal(8),
                               chain_rng(9, 2, 3).standard_normal(8))
 
+    @pytest.mark.parametrize("args,name", [((2.5,), "master_seed"), ((True,), "master_seed"),
+                                           ((1, -1), "index"), ((1, 0, True), "index")])
+    def test_non_integer_or_negative_seed_or_index_rejected(self, args, name):
+        with pytest.raises(ValueError, match=f"{name} must be a non-negative integer"):
+            chain_rng(*args)
+
+    def test_numpy_integer_seed_draws_the_int_stream(self):
+        assert np.array_equal(chain_rng(np.int64(3), 0).standard_normal(8),
+                              chain_rng(3, 0).standard_normal(8))
+
 
 class TestScriptedRng:
     def test_normals_pop_in_order(self):

@@ -90,11 +90,25 @@ def test_non_finite_check_result_fails_its_battery(monkeypatch, battery, check, 
     ("verify_lahmc_equivalence", "triples"),
     ("verify_palindromic_coupling", "transitions"),
 ])
-@pytest.mark.parametrize("bad", [0, -3])
+@pytest.mark.parametrize("bad", [0, -3, True, 2.5])
 def test_battery_of_no_checks_is_rejected(battery, size, bad):
-    # A battery with no checks would report a vacuous pass.
-    with pytest.raises(ValueError, match=f"{size} must be at least 1"):
+    # A battery with no checks would report a vacuous pass; a size is an integer >= 1.
+    with pytest.raises(ValueError, match=f"{size} must be an integer >= 1, not {bad!r}"):
         getattr(verification, battery)(**{size: bad})
+
+
+@pytest.mark.parametrize("battery,size,checks,detail", [
+    ("verify_reversibility", "points_per_target", 6, ""),
+    ("verify_volume", "points_per_target", 6, ""),
+    ("verify_main_identity", "triples", 2, ""),
+    ("verify_lahmc_equivalence", "triples", 2, ""),
+    ("verify_palindromic_coupling", "transitions", 3, "2 transitions per angle"),
+])
+@pytest.mark.parametrize("two", [2.0, np.int64(2)], ids=["float", "numpy"])
+def test_integral_battery_size_runs_as_int(battery, size, checks, detail, two):
+    outcome = getattr(verification, battery)(**{size: two})
+    assert outcome.passed
+    assert (outcome.checks, outcome.detail) == (checks, detail)
 
 
 @pytest.mark.parametrize("triples", [1, 3])
