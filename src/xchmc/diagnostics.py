@@ -10,7 +10,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from xchmc.integrator import LegSpec, verlet_leg
-from xchmc.phase import PhaseState, TargetModel, _integer, _log_rho, _orbit_start, flip
+from xchmc.phase import PhaseState, TargetModel, _integer, _log_rho, _orbit_start, _real, flip
 from xchmc.phase import log_rho  # noqa: F401  (perfbench/tracing.py rebinds diagnostics.log_rho)
 from xchmc.sampler import ChainRecord, _log_ratio, sigma_sequence, slot_distribution
 
@@ -177,10 +177,10 @@ def squared_radius() -> Observable:
 
 def interval_indicator(index: int, lo: float, hi: float) -> Observable:
     index = _integer("index", index, 0)
+    # As floats, so that both forms compare the same numbers.
+    lo, hi = _real("lo", lo), _real("hi", hi)
     if not lo < hi:
         raise ValueError("need lo < hi")
-    # As floats, so that both forms compare the same numbers.
-    lo, hi = float(lo), float(hi)
 
     def column(positions: np.ndarray) -> np.ndarray:
         values = positions[:, index]
@@ -200,7 +200,8 @@ def make_observable(spec) -> Observable:
     Dicts: ``{"kind": "coordinate", "index": i}``,
     ``{"kind": "squared_radius"}``, or
     ``{"kind": "indicator", "index": i, "lo": a, "hi": b}``.  An index must
-    be a non-negative integer (an integral float passes; a bool does not), as
+    be a non-negative integer (an integral float passes; a bool does not), and
+    ``lo`` and ``hi`` finite real numbers (not strings or bools), as
     :func:`coordinate` and :func:`interval_indicator` check.
     """
     if isinstance(spec, Observable):
@@ -221,7 +222,7 @@ def make_observable(spec) -> Observable:
         if kind == "squared_radius":
             return squared_radius()
         if kind == "indicator":
-            return interval_indicator(spec["index"], float(spec["lo"]), float(spec["hi"]))
+            return interval_indicator(spec["index"], spec["lo"], spec["hi"])
         raise ValueError(f"unknown observable kind {kind!r}")
     raise ValueError(f"cannot interpret observable spec of type {type(spec).__name__}")
 

@@ -7,13 +7,14 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from xchmc.diagnostics import estimate_average, make_observable, slot_stats
 from xchmc.integrator import LegSpec
-from xchmc.phase import PhaseState, _integer, builtin_target
+from xchmc.phase import PhaseState, _integer, _real, builtin_target
 from xchmc.rng import chain_rng
 from xchmc.sampler import Budget, ChainRecord, SamplerConfig, run_chain
 
@@ -69,29 +70,23 @@ def _require(condition: bool, field_name: str, message: str) -> None:
         raise SpecError(field_name, message)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+# The rule of each number a spec holds, by parameter.
+_NUMBER_RULES = {
+    **dict.fromkeys(("dims", "L", "replicas", "budget_force_evals"), partial(_integer, minimum=1)),
+    **dict.fromkeys(("K", "burn_in", "seed"), partial(_integer, minimum=0)),
+    **dict.fromkeys(("dt", "leg_span"), partial(_real, lo=0.0)),
+    "sin_psi": partial(_real, lo=0.0, hi=1.0, hi_open=False),
+    "jitter": partial(_real, lo=0.0, hi=1.0, lo_open=False),
+}
 
 
-# Each check takes the spec field that holds the value and the parameter it sets,
-# which differ for a sweep value: field ``sweep.values[i]``, parameter the axis.
-def _as_positive_int(value, field_name: str, name: str, minimum: int = 0) -> int:
+def _number(value, field_name: str, name: str):
+    """``value`` by the rule of parameter ``name``, or a ``SpecError`` at ``field_name``
+    (for a sweep value, ``sweep.values[i]``, while ``name`` is the axis)."""
     try:
-        return _integer(name, value, minimum)
+        return _NUMBER_RULES[name](name, value)
     except ValueError as exc:
         raise SpecError(field_name, str(exc)) from None
-
-
-def _as_positive_float(value, field_name: str, name: str) -> float:
-    _require(_is_number(value) and math.isfinite(value) and value > 0,
-             field_name, f"{name} must be a positive number")
-    return float(value)
-
-
-def _as_sin_psi(value, field_name: str, name: str) -> float:
-    _require(_is_number(value) and 0.0 < value <= 1.0, field_name,
-             f"{name} must lie in (0, 1] (it is the sine of the refresh angle)")
-    return float(value)
 
 
 def _as_object(value, field_name: str) -> dict:
@@ -140,7 +135,7 @@ def parse_spec(raw: dict) -> ExperimentSpec:
         params = _as_object(target_raw.get("params"), "target.params")
         dims = params.pop("dims", None)
         _require(dims is not None, "target.params.dims", "is required")
-    dims = _as_positive_int(dims, "dims", "dims", minimum=1)
+    dims = _number(dims, "dims", "dims")
 
     # --- sweep ----------------------------------------------------------
     sweep_raw = raw.get("sweep")
@@ -167,26 +162,18 @@ def parse_spec(raw: dict) -> ExperimentSpec:
     _require(axis not in fixed, f"fixed.{axis}",
              "duplicates the sweep axis; a parameter is either swept or fixed")
 
-    dt = fixed.get("dt")
-    if dt is not None:
-        dt = _as_positive_float(dt, "fixed.dt", "dt")
-    steps = fixed.get("L")
-    if steps is not None:
-        steps = _as_positive_int(steps, "fixed.L", "L", minimum=1)
-    leg_span = fixed.get("leg_span")
-    if leg_span is not None:
-        leg_span = _as_positive_float(leg_span, "fixed.leg_span", "leg_span")
+    dt, steps, leg_span = (None if fixed.get(name) is None
+                           else _number(fixed[name], f"fixed.{name}", name)
+                           for name in ("dt", "L", "leg_span"))
     _require(not (steps is not None and leg_span is not None),
              "fixed.leg_span", "give either L or leg_span, not both")
 
     # A swept sin_psi or K is absent from ``fixed``, so its unused default is checked here.
-    sin_psi = _as_sin_psi(fixed.get("sin_psi", ExperimentSpec.sin_psi), "fixed.sin_psi",
-                          "sin_psi")
-    extra_chances = _as_positive_int(fixed.get("K", ExperimentSpec.extra_chances), "fixed.K",
-                                     "K")
-    jitter = fixed.get("jitter", ExperimentSpec.jitter)
-    _require(_is_number(jitter) and 0.0 <= jitter < 1.0, "fixed.jitter",
-             "jitter must lie in [0, 1)")
+    sin_psi, extra_chances, jitter = (
+        _number(fixed.get(name, default), f"fixed.{name}", name)
+        for name, default in (("sin_psi", ExperimentSpec.sin_psi),
+                              ("K", ExperimentSpec.extra_chances),
+                              ("jitter", ExperimentSpec.jitter)))
 
     # Leg geometry must be fully determined for every sweep value.
     if axis == "dt":
@@ -201,15 +188,10 @@ def parse_spec(raw: dict) -> ExperimentSpec:
                  "fixed", "needs fixed.L or fixed.leg_span")
 
     # --- sweep values -----------------------------------------------------
-    check_value = {"dt": _as_positive_float, "leg_span": _as_positive_float,
-                   "sin_psi": _as_sin_psi, "K": _as_positive_int}[axis]
-    checked_values = tuple(check_value(v, f"sweep.values[{i}]", axis)
-                           for i, v in enumerate(values))
+    checked_values = tuple(_number(v, f"sweep.values[{i}]", axis) for i, v in enumerate(values))
 
-    integers = {name: _as_positive_int(raw.get(name, getattr(ExperimentSpec, name)), name, name,
-                                       minimum)
-                for name, minimum in (("replicas", 1), ("budget_force_evals", 1),
-                                      ("burn_in", 0), ("seed", 0))}
+    integers = {name: _number(raw.get(name, getattr(ExperimentSpec, name)), name, name)
+                for name in ("replicas", "budget_force_evals", "burn_in", "seed")}
     observable = raw.get("observable", ExperimentSpec.observable)
     # Evaluated once at the origin, so that every replica can evaluate it.
     try:
@@ -230,7 +212,7 @@ def parse_spec(raw: dict) -> ExperimentSpec:
         target=name, dims=dims, target_params=params,
         sweep_axis=axis, sweep_values=checked_values,
         dt=dt, steps=steps, leg_span=leg_span, sin_psi=sin_psi,
-        extra_chances=extra_chances, jitter=float(jitter),
+        extra_chances=extra_chances, jitter=jitter,
         observable=observable, out_dir=out_dir, include_momenta=include_momenta, **integers,
     )
     # Fail fast on bad target parameters rather than inside a worker.
@@ -254,23 +236,14 @@ def load_spec(path) -> ExperimentSpec:
 
 
 def _config_for(spec: ExperimentSpec, value) -> SamplerConfig:
-    """Resolve one sweep value into a sampler configuration."""
-    dt, steps, leg_span = spec.dt, spec.steps, spec.leg_span
-    sin_psi, extra = spec.sin_psi, spec.extra_chances
-    if spec.sweep_axis == "dt":
-        dt = float(value)
-    elif spec.sweep_axis == "leg_span":
-        leg_span = float(value)
-    elif spec.sweep_axis == "sin_psi":
-        sin_psi = float(value)
-    else:
-        extra = int(value)
-    if steps is None:
-        steps = max(1, round(leg_span / dt))
+    """Resolve one sweep value, already checked by ``parse_spec``, into a sampler configuration."""
+    params = {"dt": spec.dt, "leg_span": spec.leg_span, "sin_psi": spec.sin_psi,
+              "K": spec.extra_chances, spec.sweep_axis: value}
+    steps = spec.steps or max(1, round(params["leg_span"] / params["dt"]))
     return SamplerConfig(
-        leg=LegSpec(dt=dt, steps=steps),
-        psi=math.asin(sin_psi),
-        extra_chances=extra,
+        leg=LegSpec(dt=params["dt"], steps=steps),
+        psi=math.asin(params["sin_psi"]),
+        extra_chances=params["K"],
         jitter_fraction=spec.jitter,
         seed=spec.seed,
     )

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from xchmc.phase import (PhaseState, TargetModel, _all_finite, _check_dim, _integer, _unchecked,
-                         flip)
+from xchmc.phase import (PhaseState, TargetModel, _all_finite, _check_dim, _integer, _real,
+                         _unchecked, flip)
 
 __all__ = [
     "LegSpec",
@@ -27,8 +27,7 @@ class LegSpec:
     steps: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError("dt must be positive and finite")
+        object.__setattr__(self, "dt", _real("dt", self.dt, 0.0))
         object.__setattr__(self, "steps", _integer("steps", self.steps, 1))
 
 
@@ -135,8 +134,7 @@ def check_volume_preservation(model: TargetModel, spec: LegSpec, z: PhaseState,
     by column with perturbation ``step`` per coordinate, which must be
     positive and finite.
     """
-    if not (math.isfinite(step) and step > 0):
-        raise ValueError("step must be positive and finite")
+    step = _real("step", step, 0.0)
     d = z.dim
     base = np.concatenate([z.x, z.y])
 

@@ -29,8 +29,8 @@ class PhaseState:
     y: np.ndarray
 
     def __post_init__(self) -> None:
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        y = np.atleast_1d(np.asarray(self.y, dtype=float))
+        x = np.atleast_1d(_real_array("positions", self.x, False))
+        y = np.atleast_1d(_real_array("momenta", self.y, False))
         if x.ndim != 1 or y.ndim != 1:
             raise ValueError("positions and momenta must be flat vectors")
         if x.shape != y.shape:
@@ -39,8 +39,6 @@ class PhaseState:
             )
         if x.size == 0:
             raise ValueError("phase state needs at least one coordinate")
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise ValueError("phase-space components must be finite")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
@@ -84,6 +82,43 @@ def _integer(name: str, value, minimum: int) -> int:
         bound = "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}"
         raise ValueError(f"{name} must be {bound}, not {value!r}")
     return int(value)
+
+
+def _real(name: str, value, lo: float = -math.inf, hi: float = math.inf,
+          lo_open: bool = True, hi_open: bool = True) -> float:
+    """``value`` as a finite ``float`` from ``lo`` to ``hi``: the check of every real field.
+
+    Python and numpy reals, integers included, pass.  An end is excluded when
+    its ``*_open`` flag is set (float bounds compare fastest).  A bool, a
+    non-real or non-finite value, or one outside the interval raises a
+    ``ValueError`` naming the field ``name``.
+    """
+    x = value
+    if type(x) is not float:
+        # A numpy float64 becomes a float too; a non-real becomes NaN, in no interval.
+        try:
+            x = float(x) if isinstance(x, numbers.Real) and not isinstance(x, bool) else math.nan
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
+    if (lo < x if lo_open else lo <= x) and (x < hi if hi_open else x <= hi) and math.isfinite(x):
+        return x
+    if lo == 0.0 and lo_open and hi == math.inf:
+        rule = "be positive and finite"
+    elif lo == -math.inf and hi == math.inf:
+        rule = "be a finite real number"
+    else:
+        ends = [repr(b).removesuffix(".0") for b in (lo, hi)]
+        rule = f"lie in {'(['[not lo_open]}{ends[0]}, {ends[1]}{')]'[not hi_open]}"
+    raise ValueError(f"{name} must {rule}, not {value!r}")
+
+
+def _real_array(name: str, value, positive: bool) -> np.ndarray:
+    """``value`` as a float array of finite (and if ``positive``, positive) integers or
+    floats: ``np.asarray(value, dtype=float)`` alone would parse strings too."""
+    a = np.asarray(value)
+    if a.dtype.kind not in "iuf" or not np.isfinite(a).all() or (positive and (a <= 0).any()):
+        raise ValueError(f"{name} must be {'positive ' * positive}finite real numbers")
+    return np.asarray(a, dtype=float)
 
 
 def _all_finite(a: np.ndarray) -> bool:
@@ -131,11 +166,9 @@ class MassMatrix:
         self._diag = None
         self._dense = None
         if dense is not None:
-            m = np.asarray(dense, dtype=float)
+            m = _real_array("dense mass matrix entries", dense, False)
             if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
                 raise ValueError("dense mass matrix must be square and non-empty")
-            if not np.isfinite(m).all():
-                raise ValueError("dense mass matrix must be finite")
             scale = max(1.0, float(np.abs(m).max()))
             if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * scale):
                 raise ValueError("dense mass matrix must be symmetric")
@@ -151,11 +184,9 @@ class MassMatrix:
             self._inv_mul = np.linalg.inv(m).__matmul__
             self._sqrt_mul = chol.__matmul__
         elif diag is not None:
-            d = np.atleast_1d(np.asarray(diag, dtype=float))
+            d = np.atleast_1d(_real_array("diagonal mass entries", diag, True))
             if d.ndim != 1 or d.size == 0:
                 raise ValueError("diagonal mass entries must form a non-empty vector")
-            if not np.isfinite(d).all() or (d <= 0).any():
-                raise ValueError("diagonal mass entries must be positive and finite")
             self.kind = "diagonal"
             self._diag = d
             # d * v, v / d and sqrt(d) * v.
@@ -232,8 +263,7 @@ class TargetModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dim", _integer("dim", self.dim, 1))
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            raise ValueError("beta must be positive and finite")
+        object.__setattr__(self, "beta", _real("beta", self.beta, 0.0))
         if self.mass.dim is not None and self.mass.dim != self.dim:
             raise ValueError(
                 f"mass dimension {self.mass.dim} does not match target dimension {self.dim}"
@@ -301,9 +331,7 @@ def _orbit_start(model: TargetModel, z: PhaseState) -> PhaseState:
 
 def _gaussian(dims: int, params: dict) -> tuple[Callable, Callable]:
     variances = params.pop("variances", 1.0)
-    var = np.broadcast_to(np.asarray(variances, dtype=float), (dims,)).copy()
-    if not np.isfinite(var).all() or (var <= 0).any():
-        raise ValueError("gaussian variances must be positive and finite")
+    var = np.broadcast_to(_real_array("gaussian variances", variances, True), (dims,)).copy()
 
     def potential(x):
         return 0.5 * float(np.add.reduce(x * x / var))
@@ -332,12 +360,8 @@ def _double_well(dims: int, params: dict) -> tuple[Callable, Callable]:
 def _banana(dims: int, params: dict) -> tuple[Callable, Callable]:
     if dims < 2:
         raise ValueError("banana target needs at least 2 dimensions")
-    b = float(params.pop("curvature", 0.5))
-    s2 = float(params.pop("first_variance", 1.0))
-    if not math.isfinite(b):
-        raise ValueError("banana curvature must be finite")
-    if not (math.isfinite(s2) and s2 > 0):
-        raise ValueError("banana first_variance must be positive and finite")
+    b = _real("curvature", params.pop("curvature", 0.5))
+    s2 = _real("first_variance", params.pop("first_variance", 1.0), 0.0)
 
     # Curved Gaussian ridge: the second coordinate tracks b*(x0^2 - s2), the
     # remaining coordinates are standard normal.
@@ -407,8 +431,10 @@ def builtin_target(name: str, dims: int, *, beta: float = 1.0, mass=None,
 def gradient_fd_error(model: TargetModel, x, relative_step: float = 1e-5) -> float:
     """Worst coordinatewise gap between the analytic gradient and central differences.
 
-    Step for coordinate i is ``relative_step * max(1, |x_i|)``.
+    Step for coordinate i is ``relative_step * max(1, |x_i|)``.  A non-finite
+    gap is worse than any finite one, so it is returned at once.
     """
+    relative_step = _real("relative_step", relative_step, 0.0)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     g = np.asarray(model.gradient(x), dtype=float)
     worst = 0.0
@@ -419,5 +445,8 @@ def gradient_fd_error(model: TargetModel, x, relative_step: float = 1e-5) -> flo
         xm = x.copy()
         xm[i] -= h
         fd = (model.potential(xp) - model.potential(xm)) / (2.0 * h)
-        worst = max(worst, abs(float(g[i]) - fd))
+        gap = abs(float(g[i]) - fd)
+        if not math.isfinite(gap):
+            return gap
+        worst = max(worst, gap)
     return worst

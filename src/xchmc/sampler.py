@@ -22,7 +22,7 @@ import numpy as np
 
 from xchmc.integrator import DivergedLeg, LegSpec, verlet_leg
 from xchmc.phase import (PhaseState, TargetModel, _check_dim, _integer, _log_rho, _orbit_start,
-                         _unchecked, _with_momentum, flip)
+                         _real, _unchecked, _with_momentum, flip)
 from xchmc.phase import log_rho  # noqa: F401  (perfbench/tracing.py rebinds sampler.log_rho)
 from xchmc.rng import chain_rng
 
@@ -55,11 +55,6 @@ def _cos_sin(angle: float) -> tuple[float, float]:
     return math.cos(angle), math.sin(angle)
 
 
-def _check_psi(psi: float) -> None:
-    if not (0.0 < psi <= _HALF_PI):
-        raise ValueError("psi must lie in (0, pi/2]")
-
-
 @dataclass(frozen=True)
 class SamplerConfig:
     """Static parameters of one chain."""
@@ -71,10 +66,11 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_psi(self.psi)
+        object.__setattr__(self, "psi", _real("psi", self.psi, 0.0, _HALF_PI, hi_open=False))
         object.__setattr__(self, "extra_chances", _integer("extra_chances", self.extra_chances, 0))
-        if not (0.0 <= self.jitter_fraction < 1.0):
-            raise ValueError("jitter_fraction must lie in [0, 1)")
+        object.__setattr__(self, "jitter_fraction",
+                           _real("jitter_fraction", self.jitter_fraction, 0.0, 1.0, lo_open=False))
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
 
 
 @dataclass(frozen=True)
@@ -184,7 +180,7 @@ def refresh_momentum(model: TargetModel, z: PhaseState, psi: float, rng) -> Phas
     through untouched.  The noise comes from the caller's ``rng`` and must be
     finite.
     """
-    _check_psi(psi)
+    psi = _real("psi", psi, 0.0, _HALF_PI, hi_open=False)
     _check_dim(model, z)
     noise = np.asarray(rng.standard_normal(z.x.shape[0]), dtype=float)
     # phase._all_finite's test, but outside the leg's np.errstate: np.vdot, unlike
@@ -479,7 +475,7 @@ def lahmc_probabilities(model: TargetModel, leg: LegSpec, z: PhaseState,
 
 def palindromic_refresh_angle(psi: float) -> float:
     """Half-step refresh angle: the PSI in (0, pi/2] with cos(PSI)^2 = cos(psi)."""
-    _check_psi(psi)
+    psi = _real("psi", psi, 0.0, _HALF_PI, hi_open=False)
     if psi == _HALF_PI:
         return _HALF_PI
     return math.acos(math.sqrt(math.cos(psi)))
@@ -526,6 +522,7 @@ def couple_noise(psi: float, initial_momentum, pre_refresh_noise, post_refresh_n
     with PSI the half-step angle, so i.i.d. N(0, M) streams map to i.i.d.
     N(0, M) streams.
     """
+    psi = _real("psi", psi, 0.0, _HALF_PI, hi_open=False)
     half = palindromic_refresh_angle(psi)
     y_init = np.atleast_1d(np.asarray(initial_momentum, dtype=float))
     pre = np.atleast_2d(np.asarray(pre_refresh_noise, dtype=float))

@@ -10,7 +10,7 @@ import numpy as np
 from xchmc.diagnostics import check_main_identity
 from xchmc.integrator import (DivergedLeg, LegSpec, check_reversibility,
                               check_volume_preservation)
-from xchmc.phase import PhaseState, TargetModel, _integer, _unchecked, builtin_target
+from xchmc.phase import PhaseState, TargetModel, _integer, _real, _unchecked, builtin_target
 from xchmc.rng import ScriptedRng, chain_rng
 from xchmc.sampler import (Budget, SamplerConfig, _forward_log_ratios, couple_noise,
                            lahmc_from_log_ratios, run_chain, run_palindromic_chain,
@@ -85,6 +85,7 @@ def _battery(name: str, results, tolerance: float, required: int = 1,
     result is finite and within ``tolerance`` and at least ``required`` points
     were checked, so a check that returns NaN or -inf fails it.
     """
+    tolerance = _real("tolerance", tolerance, 0.0, lo_open=False)
     worst = 0.0
     checks = skipped = 0
     for result in results:

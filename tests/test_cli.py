@@ -106,6 +106,7 @@ class TestSample:
         ("--dims", "0", "dims", "dims"),
         ("--dt", "0", "sweep.values[0]", "dt"),
         ("--dt", "nan", "sweep.values[0]", "dt"),
+        ("--sin-psi", "1.5", "fixed.sin_psi", "sin_psi"),
     ])
     def test_bad_value_is_usage_error_naming_the_spec_field(self, option, value, field, name,
                                                             capsys):

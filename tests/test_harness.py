@@ -105,6 +105,13 @@ class TestParseSpec:
            "observable") for bad in (2.5, True, "2")],
         ({**MINIMAL, "dims": 3, "observable": {"kind": "indicator", "index": 1.5, "lo": 0,
                                                "hi": 1}}, "observable"),
+        ({**MINIMAL, "observable": {"kind": "indicator", "index": 0, "lo": "0", "hi": 1}},
+         "observable"),
+        *[({"target": {"name": name, "params": {"dims": 2, **bad}}, "sweep": "dt",
+            "values": [0.3], "fixed": {"L": 4}}, "target")
+          for name, bad in (("gaussian", {"beta": True}), ("banana", {"curvature": "0.5"}),
+                            ("gaussian", {"variances": ["1", "4"]}),
+                            ("double_well", {"mass": [True, True]}))],
     ])
     def test_malformed_field_is_a_spec_error(self, tmp_path, raw, field):
         with pytest.raises(SpecError) as err:

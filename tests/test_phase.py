@@ -275,6 +275,7 @@ INTEGER_FIELDS = {
     "LegSpec.steps": lambda v: LegSpec(0.1, v),
     "SamplerConfig.extra_chances": lambda v: SamplerConfig(leg=LegSpec(0.1, 2), psi=1.0,
                                                            extra_chances=v),
+    "SamplerConfig.seed": lambda v: SamplerConfig(leg=LegSpec(0.1, 2), psi=1.0, seed=v),
 }
 
 
@@ -297,7 +298,8 @@ class TestIntegerFields:
 
     @pytest.mark.parametrize("field,low", [("Budget.transitions", -1), ("Budget.burn_in", -1),
                                            ("TargetModel.dim", 0), ("LegSpec.steps", 0),
-                                           ("SamplerConfig.extra_chances", -1)])
+                                           ("SamplerConfig.extra_chances", -1),
+                                           ("SamplerConfig.seed", -1)])
     def test_value_below_the_minimum_raises(self, field, low):
         with pytest.raises(ValueError, match=f"^{field.split('.')[1]} must be "):
             INTEGER_FIELDS[field](low)
