@@ -13,8 +13,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from xchmc.diagnostics import series_average, slot_stats
 from xchmc.harness import (ExperimentSpec, SpecError, _spec_payload, load_spec, parse_spec,
                            run_experiment, sample_chain, write_chain_csv)
@@ -120,7 +118,8 @@ def _cmd_sweep(args) -> int:
         print(f"summary written to {Path(spec.out_dir) / 'summary.json'}")
     failed = [e for block in report.results for e in block["replicas"] if "error" in e]
     for entry in failed:
-        print(f"replica {entry['seed']} failed: {entry['error']}", file=sys.stderr)
+        print(f"replica {entry['seed']} failed: {entry['error']}\n{entry['traceback']}",
+              end="", file=sys.stderr)
     return EXIT_RUNTIME if failed else EXIT_OK
 
 
@@ -156,9 +155,8 @@ def _cmd_ess(args) -> int:
                     raise ValueError(f"{where}: {row[idx]!r} in column {args.column!r} "
                                      "is not a finite number")
                 values.append(value)
-    values = np.array(values)
     mean, ess, stderr = series_average(values)
-    payload = {"column": args.column, "n": int(values.size), "mean": mean,
+    payload = {"column": args.column, "n": len(values), "mean": mean,
                "ess": ess, "stderr": stderr}
     if math.isnan(ess):
         payload.update(ess=None, stderr=None, note="zero variance; ESS undefined")

@@ -10,7 +10,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from xchmc.integrator import LegSpec, verlet_leg
-from xchmc.phase import PhaseState, TargetModel, _integer, _log_rho, _orbit_start, _real, flip
+from xchmc.phase import (PhaseState, TargetModel, _integer, _log_rho, _orbit_start, _real,
+                         _real_array, flip)
 from xchmc.phase import log_rho  # noqa: F401  (perfbench/tracing.py rebinds diagnostics.log_rho)
 from xchmc.sampler import ChainRecord, _log_ratio, sigma_sequence, slot_distribution
 
@@ -45,12 +46,10 @@ def ess_initial_monotone(series) -> float:
     is clamped to (0, n].  A non-positive variance estimate (possible on
     pathological series) falls back to n with a RuntimeWarning.
     """
-    s = np.asarray(series, dtype=float).ravel()
+    s = _real_array("series", series)
     n = s.size
     if n < 10:
         raise ValueError("need at least 10 points to estimate an ESS")
-    if not np.isfinite(s).all():
-        raise ValueError("series must be finite")
     centered = s - s.mean()
     gamma0 = float(centered @ centered) / n
     if gamma0 <= 0.0:
@@ -239,7 +238,7 @@ def series_average(values) -> AverageEstimate:
     The standard error is sample std * sqrt(1 / ESS).  For a zero-variance
     series ESS and standard error are NaN.
     """
-    values = np.asarray(values, dtype=float)
+    values = _real_array("values", values)
     try:
         ess = ess_initial_monotone(values)
     except ZeroVarianceError:

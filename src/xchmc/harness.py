@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import json
 import math
+import traceback
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -300,10 +301,12 @@ def _run_replica(payload: dict) -> dict:
             "record": record,
         }
     except Exception as exc:  # recorded per replica, not fatal for the sweep
+        # Its frames start at this one, in a worker process as in a serial sweep.
         return {
             "value_index": value_index,
             "replica": replica,
-            "entry": {"seed": [spec.seed, value_index, replica], "error": repr(exc)},
+            "entry": {"seed": [spec.seed, value_index, replica], "error": repr(exc),
+                      "traceback": traceback.format_exc()},
             "record": None,
         }
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from xchmc.phase import (PhaseState, TargetModel, _all_finite, _check_dim, _integer, _real,
-                         _unchecked, flip)
+                         _real_array, _unchecked, flip)
 
 __all__ = [
     "LegSpec",
@@ -101,7 +101,7 @@ def verlet_leg(model: TargetModel, spec: LegSpec, z: PhaseState) -> tuple[PhaseS
         if step or fresh:
             g = gradient(x)
             if type(g) is not np.ndarray or g.dtype is not _FLOAT64:
-                g = np.asarray(g, dtype=float)
+                g = _real_array("gradient values", g, finite=False)
             if g.shape != y.shape:
                 raise ValueError(f"gradient values do not match the state shape {y.shape}")
             if not (math.isfinite(g.dot(g)) or np.isfinite(g).all()):

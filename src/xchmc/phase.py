@@ -29,16 +29,10 @@ class PhaseState:
     y: np.ndarray
 
     def __post_init__(self) -> None:
-        x = np.atleast_1d(_real_array("positions", self.x, False))
-        y = np.atleast_1d(_real_array("momenta", self.y, False))
-        if x.ndim != 1 or y.ndim != 1:
-            raise ValueError("positions and momenta must be flat vectors")
+        x = _real_array("positions", self.x)
+        y = _real_array("momenta", self.y)
         if x.shape != y.shape:
-            raise ValueError(
-                f"dimension mismatch: {x.shape[0]} positions vs {y.shape[0]} momenta"
-            )
-        if x.size == 0:
-            raise ValueError("phase state needs at least one coordinate")
+            raise ValueError(f"dimension mismatch: {x.shape[0]} positions vs {y.shape[0]} momenta")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
@@ -112,13 +106,33 @@ def _real(name: str, value, lo: float = -math.inf, hi: float = math.inf,
     raise ValueError(f"{name} must {rule}, not {value!r}")
 
 
-def _real_array(name: str, value, positive: bool) -> np.ndarray:
-    """``value`` as a float array of finite (and if ``positive``, positive) integers or
-    floats: ``np.asarray(value, dtype=float)`` alone would parse strings too."""
-    a = np.asarray(value)
-    if a.dtype.kind not in "iuf" or not np.isfinite(a).all() or (positive and (a <= 0).any()):
-        raise ValueError(f"{name} must be {'positive ' * positive}finite real numbers")
-    return np.asarray(a, dtype=float)
+def _real_array(name: str, value, ndim: int = 1, finite: bool = True,
+                positive: bool = False, empty: bool = False) -> np.ndarray:
+    """``value`` as a float64 array of ``ndim`` dimensions: the check of every vector.
+
+    An ndarray passes on its dtype (integer or float), anything else on being a real
+    or nested sequences of Python or numpy reals, no bool among them.  Fewer
+    dimensions get leading axes, as from ``np.atleast_2d``.  Entries must be finite
+    if ``finite``, positive if ``positive`` and present unless ``empty``; else a
+    ``ValueError`` names ``name``.
+    """
+    if isinstance(value, np.ndarray):
+        real = value.dtype.kind in "iuf"
+    else:
+        types = set(map(type, np.array(value, dtype=object).ravel().tolist()))
+        real = all(t is not bool and issubclass(t, numbers.Real) for t in types)
+    try:
+        a = np.asarray(value, dtype=float) if real else None
+    except OverflowError:  # an integer beyond the float range
+        a = None
+    if a is None or (finite and not np.isfinite(a).all()) or (positive and (a <= 0).any()):
+        rule = "positive finite " if positive else "finite " if finite else ""
+        raise ValueError(f"{name} must be {rule}real numbers")
+    a = a.reshape((1,) * (ndim - a.ndim) + a.shape) if a.ndim < ndim else a
+    if a.ndim != ndim or not (a.size or empty):
+        shape = ("vector", "matrix")[ndim - 1]
+        raise ValueError(f"{name} must form a {'non-empty ' * (not empty)}{shape}")
+    return a
 
 
 def _all_finite(a: np.ndarray) -> bool:
@@ -152,8 +166,8 @@ class MassMatrix:
     Supplies the two products the sampler needs: ``M^-1 v`` (drifts and
     kinetic energy) and ``M^1/2 v`` (drawing momenta distributed as N(0, M)
     from standard normals); ``_mul`` (``M v``) serves checks of the two.  The
-    identity form is dimension-free; diagonal and dense forms fix the
-    dimension.
+    identity form is dimension-free (``dim`` is None); diagonal and dense
+    forms fix ``dim``.
 
     The public products check their argument.  The kernel calls the unchecked
     ``_inv_mul``/``_sqrt_mul``/``_kinetic`` on float vectors it has already
@@ -163,12 +177,10 @@ class MassMatrix:
     def __init__(self, diag=None, dense=None):
         if diag is not None and dense is not None:
             raise ValueError("give at most one of diag and dense")
-        self._diag = None
-        self._dense = None
         if dense is not None:
-            m = _real_array("dense mass matrix entries", dense, False)
-            if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-                raise ValueError("dense mass matrix must be square and non-empty")
+            m = _real_array("dense mass matrix entries", dense, 2)
+            if m.shape[0] != m.shape[1]:
+                raise ValueError("dense mass matrix must be square")
             scale = max(1.0, float(np.abs(m).max()))
             if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * scale):
                 raise ValueError("dense mass matrix must be symmetric")
@@ -177,24 +189,20 @@ class MassMatrix:
                 chol = np.linalg.cholesky(m)
             except np.linalg.LinAlgError as exc:
                 raise ValueError("dense mass matrix is not positive definite") from exc
-            self.kind = "dense"
-            self._dense = m
+            self.kind, self.dim = "dense", m.shape[0]
             # M v, M^-1 v and M^1/2 v (triangular factor) as matrix products.
             self._mul = m.__matmul__
             self._inv_mul = np.linalg.inv(m).__matmul__
             self._sqrt_mul = chol.__matmul__
         elif diag is not None:
-            d = np.atleast_1d(_real_array("diagonal mass entries", diag, True))
-            if d.ndim != 1 or d.size == 0:
-                raise ValueError("diagonal mass entries must form a non-empty vector")
-            self.kind = "diagonal"
-            self._diag = d
+            d = _real_array("diagonal mass entries", diag, positive=True)
+            self.kind, self.dim = "diagonal", d.size
             # d * v, v / d and sqrt(d) * v.
             self._mul = d.__mul__
             self._inv_mul = d.__rtruediv__
             self._sqrt_mul = np.sqrt(d).__mul__
         else:
-            self.kind = "identity"
+            self.kind, self.dim = "identity", None
             self._mul = self._inv_mul = self._sqrt_mul = _same
 
     @classmethod
@@ -209,32 +217,24 @@ class MassMatrix:
     def dense(cls, matrix) -> "MassMatrix":
         return cls(dense=matrix)
 
-    @property
-    def dim(self) -> int | None:
-        """Fixed dimension, or None for the dimension-free identity."""
-        if self.kind == "diagonal":
-            return self._diag.size
-        if self.kind == "dense":
-            return self._dense.shape[0]
-        return None
-
-    def _checked(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
+    def _checked(self, name: str, v) -> np.ndarray:
+        # Non-finite entries pass: a diverging leg hands them on.
+        v = _real_array(name, v, finite=False)
         if self.dim is not None and v.shape != (self.dim,):
-            raise ValueError(f"vector of shape {v.shape} does not match mass dimension {self.dim}")
+            raise ValueError(f"{name} of shape {v.shape} does not match mass dimension {self.dim}")
         return v
 
     def apply_inverse(self, v) -> np.ndarray:
         """Return M^-1 v."""
-        return self._inv_mul(self._checked(v))
+        return self._inv_mul(self._checked("v", v))
 
     def sqrt_apply(self, v) -> np.ndarray:
         """Return M^1/2 v (triangular factor for the dense form)."""
-        return self._sqrt_mul(self._checked(v))
+        return self._sqrt_mul(self._checked("v", v))
 
     def kinetic(self, y) -> float:
         """Kinetic energy 0.5 * y' M^-1 y."""
-        return self._kinetic(self._checked(y))
+        return self._kinetic(self._checked("y", y))
 
     def _kinetic(self, y: np.ndarray) -> float:
         # ndarray.dot is the BLAS ddot that ``@`` calls, without its dispatch.
@@ -331,7 +331,7 @@ def _orbit_start(model: TargetModel, z: PhaseState) -> PhaseState:
 
 def _gaussian(dims: int, params: dict) -> tuple[Callable, Callable]:
     variances = params.pop("variances", 1.0)
-    var = np.broadcast_to(_real_array("gaussian variances", variances, True), (dims,)).copy()
+    var = np.broadcast_to(_real_array("gaussian variances", variances, positive=True), dims).copy()
 
     def potential(x):
         return 0.5 * float(np.add.reduce(x * x / var))
@@ -435,8 +435,8 @@ def gradient_fd_error(model: TargetModel, x, relative_step: float = 1e-5) -> flo
     gap is worse than any finite one, so it is returned at once.
     """
     relative_step = _real("relative_step", relative_step, 0.0)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    g = np.asarray(model.gradient(x), dtype=float)
+    x = _real_array("x", x)
+    g = _real_array("gradient values", model.gradient(x), finite=False)
     worst = 0.0
     for i in range(x.size):
         h = relative_step * max(1.0, abs(x[i]))

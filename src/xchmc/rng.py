@@ -6,7 +6,7 @@ from collections import deque
 
 import numpy as np
 
-from xchmc.phase import _integer
+from xchmc.phase import _integer, _real_array
 
 __all__ = ["chain_rng", "ScriptedRng"]
 
@@ -24,6 +24,11 @@ def chain_rng(master_seed: int, *indices: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
+def _draws(name: str, values) -> deque:
+    # Non-finite draws pass: tests feed them to the checks the sampler makes on each draw.
+    return deque(_real_array(name, values, finite=False, empty=True).tolist())
+
+
 class ScriptedRng:
     """Feeds pre-chosen draws to the sampler, in consumption order.
 
@@ -37,10 +42,9 @@ class ScriptedRng:
     """
 
     def __init__(self, normals=(), uniforms=(), jitters=None):
-        self._normals = deque(float(v) for v in np.ravel(np.asarray(normals, dtype=float)))
-        self._uniforms = deque(float(v) for v in np.ravel(np.asarray(uniforms, dtype=float)))
-        self._jitters = None if jitters is None else deque(
-            float(v) for v in np.ravel(np.asarray(jitters, dtype=float)))
+        self._normals = _draws("normals", normals)
+        self._uniforms = _draws("uniforms", uniforms)
+        self._jitters = None if jitters is None else _draws("jitters", jitters)
 
     def _pop(self, queue: deque, what: str) -> float:
         if not queue:
@@ -50,7 +54,7 @@ class ScriptedRng:
     def standard_normal(self, size=None):
         if size is None:
             return self._pop(self._normals, "normal")
-        n = int(size)
+        n = _integer("size", size, 0)
         return np.array([self._pop(self._normals, "normal") for _ in range(n)])
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from xchmc.integrator import DivergedLeg, LegSpec, verlet_leg
 from xchmc.phase import (PhaseState, TargetModel, _check_dim, _integer, _log_rho, _orbit_start,
-                         _real, _unchecked, _with_momentum, flip)
+                         _real, _real_array, _unchecked, _with_momentum, flip)
 from xchmc.phase import log_rho  # noqa: F401  (perfbench/tracing.py rebinds sampler.log_rho)
 from xchmc.rng import chain_rng
 
@@ -97,9 +97,7 @@ def slot_distribution(log_ratios) -> SlotDistribution:
     max_(j<=k) min(1, ratio_j); slot probabilities are its increments, and
     whatever is left above the last threshold is the flip probability.
     """
-    lr = np.atleast_1d(np.asarray(log_ratios, dtype=float))
-    if lr.ndim != 1 or lr.size == 0:
-        raise ValueError("log_ratios must be a non-empty vector")
+    lr = _real_array("log_ratios", log_ratios, finite=False)
     thresholds = []
     running = -math.inf
     for delta in lr.tolist():
@@ -419,9 +417,7 @@ def lahmc_from_log_ratios(log_ratios) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(pi, cumulative)`` for candidates 1..len(log_ratios).
     """
-    lr = np.atleast_1d(np.asarray(log_ratios, dtype=float))
-    if lr.ndim != 1 or lr.size == 0:
-        raise ValueError("log_ratios must be a non-empty vector")
+    lr = _real_array("log_ratios", log_ratios, finite=False)
     kmax = lr.size
     # Log density at orbit points I^m z relative to rho(z), m = 0..kmax.
     fwd = [0.0] + [-math.inf if math.isnan(v) else v for v in lr.tolist()]
@@ -524,12 +520,10 @@ def couple_noise(psi: float, initial_momentum, pre_refresh_noise, post_refresh_n
     """
     psi = _real("psi", psi, 0.0, _HALF_PI, hi_open=False)
     half = palindromic_refresh_angle(psi)
-    y_init = np.atleast_1d(np.asarray(initial_momentum, dtype=float))
-    pre = np.atleast_2d(np.asarray(pre_refresh_noise, dtype=float))
-    post = np.atleast_2d(np.asarray(post_refresh_noise, dtype=float))
+    y_init = _real_array("initial_momentum", initial_momentum)
+    pre = _real_array("pre_refresh_noise", pre_refresh_noise, 2)
+    post = _real_array("post_refresh_noise", post_refresh_noise, 2, empty=True)
     n_trans = pre.shape[0]
-    if n_trans == 0:
-        raise ValueError("need at least one pre-refresh noise vector")
     if post.shape[0] < n_trans - 1:
         raise ValueError("post-refresh noise stream too short")
     delta = psi - half

@@ -240,6 +240,7 @@ class TestSweepAndPlotData:
         err = capsys.readouterr().err
         assert "replica [7, 0, 0] failed" in err and "replica [7, 0, 1] failed" in err
         assert "10 points" in err
+        assert err.count("in ess_initial_monotone") == 2  # each replica's traceback
         assert (tmp_path / "runs" / "summary.json").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -334,6 +334,20 @@ class TestRunExperiment:
         assert "error" in entry
         assert report.results[0]["aggregate"]["ess_mean"] is None
 
+    def test_failed_replica_traceback_does_not_depend_on_workers(self, tmp_path):
+        summaries = []
+        for workers in (1, 2):
+            out_dir = tmp_path / f"workers{workers}"
+            run_experiment(tiny_spec(budget_force_evals=20, burn_in=0, replicas=2,
+                                     out_dir=str(out_dir)), workers=workers)
+            summaries.append((out_dir / "summary.json").read_bytes())
+        assert summaries[0] == summaries[1]
+        entry = json.loads(summaries[0])["results"][0]["replicas"][0]
+        assert entry["error"] == repr(ValueError("need at least 10 points to estimate an ESS"))
+        assert entry["traceback"].startswith("Traceback (most recent call last):")
+        assert "in _run_replica" in entry["traceback"]
+        assert "in ess_initial_monotone" in entry["traceback"]
+
     def test_one_replica_has_a_mean_but_no_spread(self):
         agg = run_experiment(tiny_spec(replicas=1)).results[0]["aggregate"]
         assert agg["ess_mean"] > 0

@@ -1,4 +1,5 @@
-"""The one real-number rule, ``phase._real``, at every site where a real enters."""
+"""The real-number rules: ``phase._real`` at every site where a real enters, and
+``phase._real_array`` at every site where a vector of reals enters."""
 
 import math
 import re
@@ -6,12 +7,14 @@ import re
 import numpy as np
 import pytest
 
-from xchmc import (Budget, LegSpec, MassMatrix, PhaseState, SamplerConfig, builtin_target,
-                   check_volume_preservation, gradient_fd_error, interval_indicator, log_rho,
-                   refresh_momentum, run_chain)
+from xchmc import (Budget, LegSpec, MassMatrix, PhaseState, SamplerConfig, ScriptedRng,
+                   builtin_target, check_volume_preservation, ess_initial_monotone,
+                   extra_chance_step, gradient_fd_error, interval_indicator, log_rho,
+                   refresh_momentum, run_chain, series_average, slot_distribution)
 from xchmc.harness import parse_spec, sample_chain
+from xchmc.integrator import verlet_leg
 from xchmc.phase import TargetModel, _real
-from xchmc.sampler import couple_noise, palindromic_refresh_angle
+from xchmc.sampler import couple_noise, lahmc_from_log_ratios, palindromic_refresh_angle
 from xchmc.verification import verify_reversibility
 
 GAUSS2 = builtin_target("gaussian", 2)
@@ -166,6 +169,85 @@ class TestNonFiniteGradientCheck:
         assert not gap <= 1e-5
 
 
+def _gradient_model(value):
+    """A two-dimensional target whose gradient returns ``value`` wherever it is called."""
+    return TargetModel(dim=2, potential=GAUSS2.potential, gradient=lambda x: value)
+
+
+# Each vector that enters the program: site -> (the name its error gives, a call that
+# passes the vector there, the number of dimensions it needs, the kinds of bad vector
+# tried there).  A site that takes an empty vector is not tried with one, and the
+# string and all-bool vectors of the five parameter sites are the cases of
+# test_non_numeric_entries_are_rejected.
+VECTOR_SITES = {
+    "PhaseState positions": ("positions", lambda v: PhaseState(v, [1.0, 1.0]), 1,
+                             "mixed_bool empty ndim"),
+    "PhaseState momenta": ("momenta", lambda v: PhaseState([1.0, 1.0], v), 1,
+                           "mixed_bool empty ndim"),
+    "gaussian variances": ("gaussian variances",
+                           lambda v: builtin_target("gaussian", 2, variances=v), 1,
+                           "mixed_bool empty ndim"),
+    "diagonal mass": ("diagonal mass entries", lambda v: builtin_target("double_well", 2, mass=v),
+                      1, "mixed_bool empty ndim"),
+    "dense mass": ("dense mass matrix entries", MassMatrix.dense, 2, "mixed_bool empty ndim"),
+    "gradient_fd_error x": ("x", lambda v: gradient_fd_error(GAUSS2, v), 1,
+                            "strings mixed_bool all_bool empty ndim nan"),
+    "gradient_fd_error gradient": (
+        "gradient values", lambda v: gradient_fd_error(_gradient_model(v), [0.5, 2.0]), 1,
+        "strings mixed_bool all_bool empty ndim"),
+    "verlet_leg gradient": (
+        "gradient values",
+        lambda v: verlet_leg(_gradient_model(v), LEG, PhaseState([0.5, 2.0], [1.0, 0.0])), 1,
+        "strings mixed_bool all_bool empty ndim"),
+    "MassMatrix.apply_inverse": ("v", MassMatrix.identity().apply_inverse, 1,
+                                 "strings mixed_bool all_bool empty ndim"),
+    "MassMatrix.sqrt_apply": ("v", MassMatrix.diagonal([1.0, 2.0]).sqrt_apply, 1,
+                              "strings mixed_bool all_bool empty ndim"),
+    "MassMatrix.kinetic": ("y", MassMatrix.identity().kinetic, 1,
+                           "strings mixed_bool all_bool empty ndim"),
+    "slot_distribution": ("log_ratios", slot_distribution, 1,
+                          "strings mixed_bool all_bool empty ndim"),
+    "lahmc_from_log_ratios": ("log_ratios", lahmc_from_log_ratios, 1,
+                              "strings mixed_bool all_bool empty ndim"),
+    "couple_noise initial_momentum": (
+        "initial_momentum", lambda v: couple_noise(0.5, v, [[0.0, 1.0]], []), 1,
+        "strings mixed_bool all_bool empty ndim nan"),
+    "couple_noise pre_refresh_noise": (
+        "pre_refresh_noise", lambda v: couple_noise(0.5, [1.0, 2.0], v, [[0.0, 1.0]]), 2,
+        "strings mixed_bool all_bool empty ndim nan"),
+    "couple_noise post_refresh_noise": (
+        "post_refresh_noise",
+        lambda v: couple_noise(0.5, [1.0, 2.0], [[0.0, 1.0], [1.0, 0.0]], v), 2,
+        "strings mixed_bool all_bool ndim nan"),
+    "ess_initial_monotone": ("series", ess_initial_monotone, 1,
+                             "strings mixed_bool all_bool empty ndim nan"),
+    "series_average": ("values", series_average, 1,
+                       "strings mixed_bool all_bool empty ndim nan"),
+    "ScriptedRng normals": ("normals", lambda v: ScriptedRng(normals=v), 1,
+                            "strings mixed_bool all_bool ndim"),
+    "ScriptedRng uniforms": ("uniforms", lambda v: ScriptedRng(uniforms=v), 1,
+                             "strings mixed_bool all_bool ndim"),
+    "ScriptedRng jitters": ("jitters", lambda v: ScriptedRng(jitters=v), 1,
+                            "strings mixed_bool all_bool ndim"),
+}
+
+# Bad vectors of one and of two dimensions, by kind.
+BAD_VECTORS = {
+    "strings": (["1", "2"], [["1", "0"], ["0", "1"]]),
+    "mixed_bool": ([True, 2.0], [[True, 0.0], [0.0, 2.0]]),
+    "all_bool": ([True, True], [[True, False], [False, True]]),
+    "empty": ([], []),
+    "ndim": ([[1.0, 2.0], [3.0, 4.0]], [[[1.0, 0.0], [0.0, 1.0]]]),
+    "nan": ([math.nan, 1.0], [[math.nan, 1.0], [1.0, 0.0]]),
+}
+
+
+def _bad_vector_cases():
+    for site, (name, call, ndim, kinds) in VECTOR_SITES.items():
+        for kind in kinds.split():
+            yield pytest.param(name, call, BAD_VECTORS[kind][ndim - 1], id=f"{site}-{kind}")
+
+
 class TestVectorParameters:
     @pytest.mark.parametrize("make", [
         lambda: builtin_target("gaussian", 2, variances=["1", "4"]),
@@ -179,6 +261,23 @@ class TestVectorParameters:
     def test_non_numeric_entries_are_rejected(self, make):
         with pytest.raises(ValueError, match="must be (positive )?finite real numbers"):
             make()
+
+    @pytest.mark.parametrize("name,call,bad", _bad_vector_cases())
+    def test_bad_vector_raises_naming_the_argument(self, name, call, bad):
+        rule = r"(be (positive )?(finite )?real numbers|form a (non-empty )?(vector|matrix))"
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} must {rule}$"):
+            call(bad)
+
+    def test_sites_that_allow_non_finite_entries_accept_them(self):
+        inf, nan = math.inf, math.nan
+        assert slot_distribution([-inf, nan, 0.1]).p.tolist() == [0.0, 0.0, 1.0, 0.0]
+        assert lahmc_from_log_ratios([inf, 0.1])[0].tolist() == [1.0, 0.0]
+        assert MassMatrix.identity().apply_inverse([inf, 1.0]).tolist() == [inf, 1.0]
+        # A NaN jitter reaches the check of the step size it gives.
+        config = SamplerConfig(LEG, 1.0, jitter_fraction=0.1)
+        with pytest.raises(ValueError, match="^jittered step size nan is not positive"):
+            extra_chance_step(GAUSS2, config, PhaseState([0.5, 0.5], [1.0, -1.0]),
+                              ScriptedRng(uniforms=[0.5], jitters=[nan]))
 
 
 SPEC = {"target": "gaussian", "dims": 2, "sweep": "dt", "values": [0.3],

@@ -54,6 +54,12 @@ class TestScriptedRng:
         assert rng.uniform(-0.2, 0.2) == 0.0
         assert rng.uniform(0.3, 0.5) == pytest.approx(0.4)
 
+    @pytest.mark.parametrize("size", [2.5, True, -1])
+    def test_size_must_be_a_non_negative_integer(self, size):
+        rng = ScriptedRng(normals=[1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="^size must be a non-negative integer"):
+            rng.standard_normal(size)
+
     def test_exhaustion_raises_informative_error(self):
         rng = ScriptedRng(normals=[1.0])
         rng.standard_normal(1)
