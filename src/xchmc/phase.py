@@ -30,9 +30,7 @@ class PhaseState:
 
     def __post_init__(self) -> None:
         x = _real_array("positions", self.x)
-        y = _real_array("momenta", self.y)
-        if x.shape != y.shape:
-            raise ValueError(f"dimension mismatch: {x.shape[0]} positions vs {y.shape[0]} momenta")
+        y = _real_array("momenta", self.y, length=x.shape[0])
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
@@ -106,15 +104,16 @@ def _real(name: str, value, lo: float = -math.inf, hi: float = math.inf,
     raise ValueError(f"{name} must {rule}, not {value!r}")
 
 
-def _real_array(name: str, value, ndim: int = 1, finite: bool = True,
-                positive: bool = False, empty: bool = False) -> np.ndarray:
+def _real_array(name: str, value, ndim: int = 1, finite: bool = True, positive: bool = False,
+                empty: bool = False, length: int | None = None) -> np.ndarray:
     """``value`` as a float64 array of ``ndim`` dimensions: the check of every vector.
 
     An ndarray passes on its dtype (integer or float), anything else on being a real
     or nested sequences of Python or numpy reals, no bool among them.  Fewer
-    dimensions get leading axes, as from ``np.atleast_2d``.  Entries must be finite
-    if ``finite``, positive if ``positive`` and present unless ``empty``; else a
-    ``ValueError`` names ``name``.
+    dimensions get leading axes, as from ``np.atleast_2d``, except that an empty
+    value has no rows.  Entries must be finite if ``finite``, positive if
+    ``positive`` and present unless ``empty``, and the last axis must have
+    ``length`` entries unless it is None; else a ``ValueError`` names ``name``.
     """
     if isinstance(value, np.ndarray):
         real = value.dtype.kind in "iuf"
@@ -128,10 +127,14 @@ def _real_array(name: str, value, ndim: int = 1, finite: bool = True,
     if a is None or (finite and not np.isfinite(a).all()) or (positive and (a <= 0).any()):
         rule = "positive finite " if positive else "finite " if finite else ""
         raise ValueError(f"{name} must be {rule}real numbers")
-    a = a.reshape((1,) * (ndim - a.ndim) + a.shape) if a.ndim < ndim else a
+    if a.ndim < ndim:
+        a = a.reshape((1,) * (ndim - a.ndim) + a.shape if a.size else (0, length or 0))
     if a.ndim != ndim or not (a.size or empty):
         shape = ("vector", "matrix")[ndim - 1]
         raise ValueError(f"{name} must form a {'non-empty ' * (not empty)}{shape}")
+    if length is not None and a.shape[-1] != length:
+        raise ValueError(f"{name} must have {'rows of ' * (ndim - 1)}length {length}, "
+                         f"not {a.shape[-1]}")
     return a
 
 
@@ -179,8 +182,7 @@ class MassMatrix:
             raise ValueError("give at most one of diag and dense")
         if dense is not None:
             m = _real_array("dense mass matrix entries", dense, 2)
-            if m.shape[0] != m.shape[1]:
-                raise ValueError("dense mass matrix must be square")
+            m = _real_array("dense mass matrix entries", m, 2, length=m.shape[0])  # square
             scale = max(1.0, float(np.abs(m).max()))
             if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * scale):
                 raise ValueError("dense mass matrix must be symmetric")
@@ -219,10 +221,7 @@ class MassMatrix:
 
     def _checked(self, name: str, v) -> np.ndarray:
         # Non-finite entries pass: a diverging leg hands them on.
-        v = _real_array(name, v, finite=False)
-        if self.dim is not None and v.shape != (self.dim,):
-            raise ValueError(f"{name} of shape {v.shape} does not match mass dimension {self.dim}")
-        return v
+        return _real_array(name, v, finite=False, length=self.dim)
 
     def apply_inverse(self, v) -> np.ndarray:
         """Return M^-1 v."""
@@ -331,7 +330,10 @@ def _orbit_start(model: TargetModel, z: PhaseState) -> PhaseState:
 
 def _gaussian(dims: int, params: dict) -> tuple[Callable, Callable]:
     variances = params.pop("variances", 1.0)
-    var = np.broadcast_to(_real_array("gaussian variances", variances, positive=True), dims).copy()
+    var = _real_array("gaussian variances", variances, positive=True)
+    if var.size > 1:  # one value is every coordinate's variance
+        _real_array("gaussian variances", var, length=dims)
+    var = np.broadcast_to(var, dims).copy()
 
     def potential(x):
         return 0.5 * float(np.add.reduce(x * x / var))
@@ -435,8 +437,8 @@ def gradient_fd_error(model: TargetModel, x, relative_step: float = 1e-5) -> flo
     gap is worse than any finite one, so it is returned at once.
     """
     relative_step = _real("relative_step", relative_step, 0.0)
-    x = _real_array("x", x)
-    g = _real_array("gradient values", model.gradient(x), finite=False)
+    x = _real_array("x", x, length=model.dim)
+    g = _real_array("gradient values", model.gradient(x), finite=False, length=model.dim)
     worst = 0.0
     for i in range(x.size):
         h = relative_step * max(1.0, abs(x[i]))

@@ -51,9 +51,7 @@ class ScriptedRng:
             raise IndexError(f"scripted {what} draws exhausted")
         return queue.popleft()
 
-    def standard_normal(self, size=None):
-        if size is None:
-            return self._pop(self._normals, "normal")
+    def standard_normal(self, size):
         n = _integer("size", size, 0)
         return np.array([self._pop(self._normals, "normal") for _ in range(n)])
 

@@ -521,8 +521,8 @@ def couple_noise(psi: float, initial_momentum, pre_refresh_noise, post_refresh_n
     psi = _real("psi", psi, 0.0, _HALF_PI, hi_open=False)
     half = palindromic_refresh_angle(psi)
     y_init = _real_array("initial_momentum", initial_momentum)
-    pre = _real_array("pre_refresh_noise", pre_refresh_noise, 2)
-    post = _real_array("post_refresh_noise", post_refresh_noise, 2, empty=True)
+    pre = _real_array("pre_refresh_noise", pre_refresh_noise, 2, length=y_init.size)
+    post = _real_array("post_refresh_noise", post_refresh_noise, 2, empty=True, length=y_init.size)
     n_trans = pre.shape[0]
     if post.shape[0] < n_trans - 1:
         raise ValueError("post-refresh noise stream too short")

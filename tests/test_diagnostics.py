@@ -173,6 +173,11 @@ class TestObservables:
         obs = interval_indicator(0, 0.0, 2.0)
         assert self._apply(obs, [[-1.0], [1.0], [3.0]]) == [0.0, 1.0, 0.0]
 
+    @pytest.mark.parametrize("lo,hi", [(1.0, 1.0), (2.0, 1.0)])
+    def test_interval_indicator_needs_lo_below_hi(self, lo, hi):
+        with pytest.raises(ValueError, match="^need lo < hi$"):
+            interval_indicator(0, lo, hi)
+
     def test_make_observable_strings(self):
         assert make_observable("x0").name == "x0"
         assert make_observable("x3").name == "x3"
@@ -182,6 +187,8 @@ class TestObservables:
         obs = make_observable({"kind": "indicator", "index": 0,
                                "lo": -1.0, "hi": 1.0})
         assert self._apply(obs, [[0.5], [1.5]]) == [1.0, 0.0]
+        obs = make_observable({"kind": "squared_radius"})
+        assert obs.name == "r2" and self._apply(obs, [[3.0, 4.0]]) == [25.0]
 
     @pytest.mark.parametrize("kind", ["coordinate", "indicator"])
     @pytest.mark.parametrize("index", [2.5, True, "2"])
@@ -209,6 +216,10 @@ class TestObservables:
             make_observable("potato")
         with pytest.raises(ValueError):
             make_observable({"kind": "mystery"})
+        with pytest.raises(ValueError, match=r"^unknown observable keys: \['scale'\]$"):
+            make_observable({"kind": "coordinate", "index": 0, "scale": 2.0})
+        with pytest.raises(ValueError, match="^cannot interpret observable spec of type int$"):
+            make_observable(3)
 
 
 # Coordinates on a half-integer grid as well as arbitrary ones, so that indicator

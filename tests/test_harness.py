@@ -121,6 +121,14 @@ class TestParseSpec:
         path.write_text(json.dumps(raw))
         assert main(["sweep", "--spec", str(path)]) == 1
 
+    def test_variances_of_the_wrong_length_are_named(self):
+        raw = {"target": {"name": "gaussian", "params": {"dims": 2, "variances": [1, 2, 3]}},
+               "sweep": "dt", "values": [0.3], "fixed": {"L": 4}}
+        with pytest.raises(SpecError, match="^target: gaussian variances must have length 2, "
+                                            "not 3$") as err:
+            parse_spec(raw)
+        assert err.value.field == "target"
+
     @pytest.mark.parametrize("two", [2.0, np.int64(2)], ids=["float", "numpy"])
     def test_integral_replicas_read_as_int(self, two):
         replicas = parse_spec({**MINIMAL, "replicas": two}).replicas

@@ -104,6 +104,13 @@ class TestVerletLeg:
         assert err.force_evals == calls["n"]
         assert err.force_evals <= 51
 
+    def test_divergence_of_the_end_state_alone(self):
+        # Every gradient is finite, but the first half kick overflows the momentum.
+        model = TargetModel(1, lambda x: float(x[0]), lambda x: np.array([1e308]))
+        with pytest.raises(DivergedLeg) as info:
+            verlet_leg(model, LegSpec(1.0, 1), PhaseState([0.0], [-1.7e308]))
+        assert (info.value.step_index, info.value.force_evals) == (1, 2)
+
     @pytest.mark.parametrize("mass", sorted(MASSES))
     def test_gradient_returning_its_argument(self, mass):
         # With a gradient that hands back its argument, neither the input

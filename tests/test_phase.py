@@ -51,7 +51,7 @@ class TestAllFinite:
 
 class TestPhaseState:
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mismatch"):
+        with pytest.raises(ValueError, match="^momenta must have length 2, not 1$"):
             PhaseState([1.0, 2.0], [1.0])
 
     def test_empty_rejected(self):
@@ -202,10 +202,19 @@ class TestMassMatrix:
             assert np.array_equal(dense.sqrt_apply(v), np.linalg.cholesky(m) @ v)
             assert dense.kinetic(v) == 0.5 * float(v @ (np.linalg.inv(m) @ v))
 
+    def test_at_most_one_form(self):
+        with pytest.raises(ValueError, match="^give at most one of diag and dense$"):
+            MassMatrix(diag=[1.0], dense=[[1.0]])
+
+    def test_target_dimension_checked(self):
+        with pytest.raises(ValueError,
+                           match="^mass dimension 3 does not match target dimension 2$"):
+            TargetModel(2, lambda x: 0.0, lambda x: x, mass=MassMatrix.diagonal([1.0] * 3))
+
     def test_dimension_checked(self):
         mass = MassMatrix.diagonal([1.0, 2.0])
         for product in (mass.apply_inverse, mass.sqrt_apply, mass.kinetic):
-            with pytest.raises(ValueError, match="dimension"):
+            with pytest.raises(ValueError, match="must have length 2, not 3$"):
                 product(np.zeros(3))
 
 
@@ -217,6 +226,11 @@ class TestBuiltinTargets:
     def test_gaussian_variances_vector(self):
         model = builtin_target("gaussian", 2, variances=[1.0, 4.0])
         assert model.potential(np.array([0.0, 2.0])) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("one", [4.0, [4.0], np.array([4.0])])
+    def test_one_variance_serves_every_coordinate(self, one):
+        model = builtin_target("gaussian", 3, variances=one)
+        assert model.potential(np.array([2.0, 2.0, 2.0])) == 1.5
 
     def test_double_well_values(self, dwell1d):
         assert dwell1d.potential(np.array([1.0])) == 0.0
@@ -256,6 +270,12 @@ class TestBuiltinTargets:
         for _ in range(100):
             x = rng.standard_normal(dims) * 1.5
             assert gradient_fd_error(model, x) <= 1e-5
+
+    def test_fd_error_needs_a_position_of_the_target_dimension(self):
+        # A shorter x used to broadcast against the variances and give a gap.
+        model = builtin_target("gaussian", 2, variances=[1, 4])
+        with pytest.raises(ValueError, match="^x must have length 2, not 1$"):
+            gradient_fd_error(model, [0.5])
 
     def test_hamiltonian_includes_mass(self):
         mass = MassMatrix.diagonal([4.0])

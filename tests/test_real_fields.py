@@ -1,5 +1,6 @@
 """The real-number rules: ``phase._real`` at every site where a real enters, and
-``phase._real_array`` at every site where a vector of reals enters."""
+``phase._real_array`` at every site where a vector of reals enters, its length
+included."""
 
 import math
 import re
@@ -176,59 +177,63 @@ def _gradient_model(value):
 
 # Each vector that enters the program: site -> (the name its error gives, a call that
 # passes the vector there, the number of dimensions it needs, the kinds of bad vector
-# tried there).  A site that takes an empty vector is not tried with one, and the
+# tried there).  A site that takes an empty vector is not tried with one, the
 # string and all-bool vectors of the five parameter sites are the cases of
-# test_non_numeric_entries_are_rejected.
+# test_non_numeric_entries_are_rejected, and the sites with a fixed length need 2
+# entries (a row of 2 for a matrix).
 VECTOR_SITES = {
     "PhaseState positions": ("positions", lambda v: PhaseState(v, [1.0, 1.0]), 1,
-                             "mixed_bool empty ndim"),
+                             "mixed_bool empty ndim overflow"),
     "PhaseState momenta": ("momenta", lambda v: PhaseState([1.0, 1.0], v), 1,
-                           "mixed_bool empty ndim"),
+                           "mixed_bool empty ndim length overflow"),
     "gaussian variances": ("gaussian variances",
                            lambda v: builtin_target("gaussian", 2, variances=v), 1,
-                           "mixed_bool empty ndim"),
+                           "mixed_bool empty ndim length overflow"),
     "diagonal mass": ("diagonal mass entries", lambda v: builtin_target("double_well", 2, mass=v),
-                      1, "mixed_bool empty ndim"),
-    "dense mass": ("dense mass matrix entries", MassMatrix.dense, 2, "mixed_bool empty ndim"),
+                      1, "mixed_bool empty ndim overflow"),
+    "dense mass": ("dense mass matrix entries", MassMatrix.dense, 2,
+                   "mixed_bool empty ndim length overflow"),
     "gradient_fd_error x": ("x", lambda v: gradient_fd_error(GAUSS2, v), 1,
-                            "strings mixed_bool all_bool empty ndim nan"),
+                            "strings mixed_bool all_bool empty ndim nan length overflow"),
     "gradient_fd_error gradient": (
         "gradient values", lambda v: gradient_fd_error(_gradient_model(v), [0.5, 2.0]), 1,
-        "strings mixed_bool all_bool empty ndim"),
+        "strings mixed_bool all_bool empty ndim length overflow"),
     "verlet_leg gradient": (
         "gradient values",
         lambda v: verlet_leg(_gradient_model(v), LEG, PhaseState([0.5, 2.0], [1.0, 0.0])), 1,
-        "strings mixed_bool all_bool empty ndim"),
+        "strings mixed_bool all_bool empty ndim overflow"),
     "MassMatrix.apply_inverse": ("v", MassMatrix.identity().apply_inverse, 1,
-                                 "strings mixed_bool all_bool empty ndim"),
+                                 "strings mixed_bool all_bool empty ndim overflow"),
     "MassMatrix.sqrt_apply": ("v", MassMatrix.diagonal([1.0, 2.0]).sqrt_apply, 1,
-                              "strings mixed_bool all_bool empty ndim"),
+                              "strings mixed_bool all_bool empty ndim length overflow"),
     "MassMatrix.kinetic": ("y", MassMatrix.identity().kinetic, 1,
-                           "strings mixed_bool all_bool empty ndim"),
+                           "strings mixed_bool all_bool empty ndim overflow"),
+    "MassMatrix.kinetic dense": ("y", MassMatrix.dense([[2.0, 0.5], [0.5, 1.0]]).kinetic, 1,
+                                 "length"),
     "slot_distribution": ("log_ratios", slot_distribution, 1,
-                          "strings mixed_bool all_bool empty ndim"),
+                          "strings mixed_bool all_bool empty ndim overflow"),
     "lahmc_from_log_ratios": ("log_ratios", lahmc_from_log_ratios, 1,
-                              "strings mixed_bool all_bool empty ndim"),
+                              "strings mixed_bool all_bool empty ndim overflow"),
     "couple_noise initial_momentum": (
         "initial_momentum", lambda v: couple_noise(0.5, v, [[0.0, 1.0]], []), 1,
-        "strings mixed_bool all_bool empty ndim nan"),
+        "strings mixed_bool all_bool empty ndim nan overflow"),
     "couple_noise pre_refresh_noise": (
         "pre_refresh_noise", lambda v: couple_noise(0.5, [1.0, 2.0], v, [[0.0, 1.0]]), 2,
-        "strings mixed_bool all_bool empty ndim nan"),
+        "strings mixed_bool all_bool empty ndim nan length overflow"),
     "couple_noise post_refresh_noise": (
         "post_refresh_noise",
         lambda v: couple_noise(0.5, [1.0, 2.0], [[0.0, 1.0], [1.0, 0.0]], v), 2,
-        "strings mixed_bool all_bool ndim nan"),
+        "strings mixed_bool all_bool ndim nan length overflow"),
     "ess_initial_monotone": ("series", ess_initial_monotone, 1,
-                             "strings mixed_bool all_bool empty ndim nan"),
+                             "strings mixed_bool all_bool empty ndim nan overflow"),
     "series_average": ("values", series_average, 1,
-                       "strings mixed_bool all_bool empty ndim nan"),
+                       "strings mixed_bool all_bool empty ndim nan overflow"),
     "ScriptedRng normals": ("normals", lambda v: ScriptedRng(normals=v), 1,
-                            "strings mixed_bool all_bool ndim"),
+                            "strings mixed_bool all_bool ndim overflow"),
     "ScriptedRng uniforms": ("uniforms", lambda v: ScriptedRng(uniforms=v), 1,
-                             "strings mixed_bool all_bool ndim"),
+                             "strings mixed_bool all_bool ndim overflow"),
     "ScriptedRng jitters": ("jitters", lambda v: ScriptedRng(jitters=v), 1,
-                            "strings mixed_bool all_bool ndim"),
+                            "strings mixed_bool all_bool ndim overflow"),
 }
 
 # Bad vectors of one and of two dimensions, by kind.
@@ -239,6 +244,8 @@ BAD_VECTORS = {
     "empty": ([], []),
     "ndim": ([[1.0, 2.0], [3.0, 4.0]], [[[1.0, 0.0], [0.0, 1.0]]]),
     "nan": ([math.nan, 1.0], [[math.nan, 1.0], [1.0, 0.0]]),
+    "length": ([1.0, 2.0, 3.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+    "overflow": ([10**400], [[10**400, 0.0], [0.0, 1.0]]),
 }
 
 
@@ -264,7 +271,8 @@ class TestVectorParameters:
 
     @pytest.mark.parametrize("name,call,bad", _bad_vector_cases())
     def test_bad_vector_raises_naming_the_argument(self, name, call, bad):
-        rule = r"(be (positive )?(finite )?real numbers|form a (non-empty )?(vector|matrix))"
+        rule = (r"(be (positive )?(finite )?real numbers|form a (non-empty )?(vector|matrix)"
+                r"|have (rows of )?length 2, not 3)")
         with pytest.raises(ValueError, match=rf"^{re.escape(name)} must {rule}$"):
             call(bad)
 

@@ -276,6 +276,16 @@ class TestExtraChanceStep:
         assert np.array_equal(out.next_state.y, -z.y)
         assert out.force_evals < 2 * 51  # legs were abandoned early
 
+    def test_diverged_end_state_flips(self):
+        # The first leg's gradients are finite and its end state is not.
+        model = TargetModel(1, lambda x: float(x[0]), lambda x: np.array([1e308]))
+        z = PhaseState([0.0], [-1.7e308])
+        config = SamplerConfig(leg=LegSpec(1.0, 1), psi=math.pi / 2, extra_chances=3)
+        out = extra_chance_step(model, config, z, ScriptedRng(uniforms=[0.0]))
+        assert out.slot == 3 + 2
+        assert (out.force_evals, out.candidates_computed) == (2, 3 + 1)
+        assert np.array_equal(out.next_state.y, -z.y)
+
 
 class TestCarriedPotential:
     @pytest.mark.parametrize("name,dims,dt,params", [
@@ -603,6 +613,14 @@ class TestCoupleNoise:
             before = np.sum(y_init**2) + np.sum(pre[0] ** 2)
             after = np.sum(y0**2) + np.sum(zetas[0] ** 2)
             assert after == pytest.approx(before, rel=1e-12)
+
+    def test_empty_post_stream_has_no_rows(self):
+        # Enough for one transition, too short for two.
+        y0, zetas = couple_noise(0.5, [1.0], [[0.1]], [])
+        expected = couple_noise(0.5, [1.0], [[0.1]], np.zeros((0, 1)))
+        assert np.array_equal(y0, expected[0]) and np.array_equal(zetas, expected[1])
+        with pytest.raises(ValueError, match="^post-refresh noise stream too short$"):
+            couple_noise(0.5, [1.0], [[0.1], [0.2]], [])
 
     def test_variance_identity(self, rng):
         # cos^2(HALF) sin^2(HALF) + sin^2(HALF) = sin^2(psi), so recombined
