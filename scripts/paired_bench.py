@@ -17,6 +17,11 @@ A seed's outputs count as the same (``same_outputs``) when both sides' runs
 give the same sorted digests over all of their batches.
 Three traced pairs, alternating in the same way so that host drift does not
 show up as a per-layer difference, then give each side's per-layer medians.
+
+For a side that is a git checkout, ``src_edited`` records whether its
+``src/`` has uncommitted changes (None for a side that is not a checkout).
+The script stops before any run when the change side's ``src/`` has them,
+since the runs would then not measure the committed tree.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import argparse
 import importlib.util
 import json
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 
@@ -42,6 +48,19 @@ def load_spread(side: str, checkout: Path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def src_edited(checkout: Path) -> bool | None:
+    """Whether ``src/`` of ``checkout`` has uncommitted changes; None outside a git checkout."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True)
+    top = git("rev-parse", "--show-toplevel")
+    if top.returncode or Path(top.stdout.strip()).resolve() != checkout:
+        return None
+    status = git("status", "--porcelain", "--", "src")
+    if status.returncode:
+        raise RuntimeError(f"git status failed in {checkout}: {status.stderr.strip()}")
+    return bool(status.stdout.strip())
 
 
 def metric_values(run: dict) -> dict:
@@ -86,11 +105,16 @@ def main() -> int:
     args = parser.parse_args()
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    edited = {side: src_edited(path) for side, path in checkouts.items()}
+    if edited["change"]:
+        print(f"{checkouts['change']}/src has uncommitted changes; commit them first",
+              file=sys.stderr)
+        return 1
     spread_of = {side: load_spread(side, path) for side, path in checkouts.items()}
     bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     out = {"pairs": PAIRS, "first_seed": FIRST_SEED, "run_seconds": seconds,
-           "traced_runs": TRACED_RUNS, "machine": {}, "workloads": {}}
+           "traced_runs": TRACED_RUNS, "src_edited": edited, "machine": {}, "workloads": {}}
     for workload in (w["name"] for w in bench["workloads"]):
         runs = []
         for i in range(PAIRS):

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from xchmc.integrator import DivergedLeg, LegSpec, verlet_leg
+from xchmc.integrator import _FLOAT64, DivergedLeg, LegSpec, verlet_leg
 from xchmc.phase import (PhaseState, TargetModel, _check_dim, _integer, _log_rho, _orbit_start,
                          _real, _real_array, _unchecked, _with_momentum, flip)
 from xchmc.phase import log_rho  # noqa: F401  (perfbench/tracing.py rebinds sampler.log_rho)
@@ -81,7 +81,7 @@ class SlotDistribution:
     legs; ``p[k-1]`` is the probability of landing in acceptance slot k, with
     the final entry the momentum-flip probability.  ``log_sigma`` carries the
     thresholds in log space (no underflow in high dimension); the transition
-    does not read it, as :func:`extra_chance_step` keeps its own running one.
+    does not read it, as its candidate loop keeps its own running one.
     """
 
     sigma: np.ndarray
@@ -121,31 +121,39 @@ def _log_ratio(log_k: float, log_ref: float) -> float:
     return log_k - log_ref
 
 
-def _candidate_orbit(model: TargetModel, leg: LegSpec, z: PhaseState, count: int):
-    """Integrate the candidate orbit I z, I^2 z, ... lazily, one leg per item.
+def _candidate_orbit(model: TargetModel, leg: LegSpec, z: PhaseState, count: int,
+                     log_u: float = math.inf) -> tuple[int, PhaseState | None, int, list[float]]:
+    """Integrate the candidate legs I z, I^2 z, ... until one is accepted.
 
-    Yields ``(state, log_ratio, force_evals)`` for candidates 1..count, where
-    ``log_ratio`` is :func:`_log_ratio` of the candidate.  A diverged leg
-    yields ``(None, -inf, its partial force evaluations)`` and ends the orbit:
-    the later candidates are not integrated and have density zero.
+    Candidate k is accepted when it has positive density and the running
+    threshold max_(j<=k) min(0, log_ratio_j), with :func:`_log_ratio`, reaches
+    ``log_u`` (inclusive, in log space).  At most ``count`` legs are run; a
+    diverged leg ends the orbit, and the later candidates have density zero.
+    Returns ``(k, state, force_evals, log_ratios)``: the accepted candidate,
+    or ``(0, None)`` when none is (always, under the default ``log_u``), the
+    gradient evaluations of every leg run and the log ratios of the completed
+    legs.
 
     ``z`` is a state the kernel built (``phase._orbit_start``).  It and every
-    yielded state keep their potential, so the potential is called once per
-    integrated candidate, and their gradient (see
-    :func:`~xchmc.integrator.verlet_leg`).  The
-    caller holds ``np.errstate(over="ignore", invalid="ignore")`` over the
-    whole iteration: a guard entered here would stay open while a consumer
-    that stops early leaves the generator suspended.
+    candidate keep their potential and gradient (see
+    :func:`~xchmc.integrator.verlet_leg`), so the potential is called once per
+    integrated candidate.  The caller holds ``np.errstate(over="ignore",
+    invalid="ignore")``.
     """
     log_ref = _log_rho(model, z)
-    current = z
-    for _ in range(count):
+    log_running, log_ratios, evals = -math.inf, [], 0
+    for k in range(1, count + 1):
         try:
-            current, evals = verlet_leg(model, leg, current)
+            z, n = verlet_leg(model, leg, z)
         except DivergedLeg as err:
-            yield None, -math.inf, err.force_evals
-            return
-        yield current, _log_ratio(_log_rho(model, current), log_ref), evals
+            return 0, None, evals + err.force_evals, log_ratios
+        evals += n
+        log_ratio = _log_ratio(_log_rho(model, z), log_ref)
+        log_ratios.append(log_ratio)
+        log_running = max(log_running, min(0.0, log_ratio))
+        if log_ratio > -math.inf and log_u <= log_running:
+            return k, z, evals, log_ratios
+    return 0, None, evals, log_ratios
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -153,11 +161,8 @@ def _forward_log_ratios(model: TargetModel, leg: LegSpec, z: PhaseState,
                         extra_chances: int) -> np.ndarray:
     """log rho(I^j z) - log rho(z), j = 1..extra_chances + 1; -inf from a diverged leg on."""
     count = _integer("extra_chances", extra_chances, 0) + 1
-    out = np.full(count, -math.inf)
-    for j, (_, log_ratio, _) in enumerate(
-            _candidate_orbit(model, leg, _orbit_start(model, z), count)):
-        out[j] = log_ratio
-    return out
+    log_ratios = _candidate_orbit(model, leg, _orbit_start(model, z), count)[3]
+    return np.array(log_ratios + [-math.inf] * (count - len(log_ratios)))
 
 
 def sigma_sequence(model: TargetModel, leg: LegSpec, z: PhaseState,
@@ -176,11 +181,13 @@ def refresh_momentum(model: TargetModel, z: PhaseState, psi: float, rng) -> Phas
 
     psi = pi/2 replaces the momentum completely.  The position block is passed
     through untouched.  The noise comes from the caller's ``rng`` and must be
-    finite.
+    ``dim`` finite real numbers.
     """
     psi = _real("psi", psi, 0.0, _HALF_PI, hi_open=False)
     _check_dim(model, z)
-    noise = np.asarray(rng.standard_normal(z.x.shape[0]), dtype=float)
+    noise = rng.standard_normal(model.dim)
+    if type(noise) is not np.ndarray or noise.dtype is not _FLOAT64 or noise.shape != z.y.shape:
+        noise = _real_array("refresh noise", noise, finite=False, length=model.dim)
     # phase._all_finite's test, but outside the leg's np.errstate: np.vdot, unlike
     # ndarray.dot, does not warn when huge finite noise overflows the sum of squares.
     if not (math.isfinite(np.vdot(noise, noise)) or np.isfinite(noise).all()):
@@ -251,19 +258,14 @@ def extra_chance_step(model: TargetModel, config: SamplerConfig, z: PhaseState,
     leg = _unchecked(LegSpec, dt=dt, steps=config.leg.steps)
     log_u = math.log(u) if u > 0.0 else -math.inf
     chances = config.extra_chances + 1
-    log_running = -math.inf
-    evals = 0
     z = _orbit_start(model, z)
-    for k, (state, log_ratio, n) in enumerate(_candidate_orbit(model, leg, z, chances), 1):
-        evals += n
-        log_running = max(log_running, min(0.0, log_ratio))
-        if log_ratio > -math.inf and log_u <= log_running:
-            return _unchecked(TransitionOutcome, next_state=state, slot=k,
-                              candidates_computed=k, force_evals=evals, u=u, dt=dt)
-    # Every candidate was rejected, or a leg diverged and the candidates from
-    # it on count as density zero: either way all of them count as computed.
-    return _unchecked(TransitionOutcome, next_state=flip(z), slot=chances + 1,
-                      candidates_computed=chances, force_evals=evals, u=u, dt=dt)
+    k, state, evals, _ = _candidate_orbit(model, leg, z, chances, log_u)
+    if not k:
+        # Every candidate was rejected, or a leg diverged and the candidates from
+        # it on count as density zero: either way all of them count as computed.
+        k, state = chances + 1, flip(z)
+    return _unchecked(TransitionOutcome, next_state=state, slot=k,
+                      candidates_computed=min(k, chances), force_evals=evals, u=u, dt=dt)
 
 
 @dataclass(frozen=True)
@@ -317,9 +319,10 @@ class ChainRecord:
         return int(self.force_evals.sum())
 
 
-def _drive(model: TargetModel, transition, z0: PhaseState, budget: Budget,
-           extra_chances: int) -> ChainRecord:
-    """Run ``transition`` (a state to its :class:`TransitionOutcome`) from ``z0``.
+def _drive(model: TargetModel, config: SamplerConfig, z0: PhaseState, budget: Budget,
+           rng, psi: float, post_psi: float | None = None) -> ChainRecord:
+    """Run the chain from ``z0``: refresh at angle ``psi``, :func:`extra_chance_step`
+    and, unless ``post_psi`` is None, a second refresh at angle ``post_psi``.
 
     The ``budget.burn_in`` transitions are discarded.  The recorded chain then
     runs until it has made ``budget.transitions`` transitions or, under a
@@ -331,26 +334,30 @@ def _drive(model: TargetModel, transition, z0: PhaseState, budget: Budget,
     per-transition object.
     """
     _check_dim(model, z0)
-    z = z0
-    for _ in range(budget.burn_in):
-        z = transition(z).next_state
     max_transitions = math.inf if budget.transitions is None else budget.transitions
     max_evals = math.inf if budget.force_evals is None else budget.force_evals
-    xs, ys = array("d", z.x.tobytes()), array("d", z.y.tobytes())
+    xs, ys = array("d"), array("d")
     slots, candidates, evals, dts = array("q"), array("q"), array("q"), array("d")
-    spent = 0
-    while len(slots) < max_transitions and spent < max_evals:
-        out = transition(z)
+    z, spent, n = z0, 0, -budget.burn_in  # n: recorded transitions, negative in the burn-in
+    while True:
+        if n >= 0:
+            xs.frombytes(z.x.tobytes())
+            ys.frombytes(z.y.tobytes())
+            if n >= max_transitions or spent >= max_evals:
+                break
+        out = extra_chance_step(model, config, refresh_momentum(model, z, psi, rng), rng)
         z = out.next_state
-        xs.frombytes(z.x.tobytes())
-        ys.frombytes(z.y.tobytes())
-        slots.append(out.slot)
-        candidates.append(out.candidates_computed)
-        evals.append(out.force_evals)
-        dts.append(out.dt)
-        spent += out.force_evals
+        if post_psi is not None:
+            z = refresh_momentum(model, z, post_psi, rng)
+        if n >= 0:
+            slots.append(out.slot)
+            candidates.append(out.candidates_computed)
+            evals.append(out.force_evals)
+            dts.append(out.dt)
+            spent += out.force_evals
+        n += 1
     # An exact shape: a state of another size is an error here, not a shifted row.
-    rows = (len(slots) + 1, z0.x.shape[0])
+    rows = (n + 1, z0.x.shape[0])
     return ChainRecord(
         positions=np.frombuffer(xs, dtype=np.float64).reshape(rows),
         momenta=np.frombuffer(ys, dtype=np.float64).reshape(rows),
@@ -358,7 +365,7 @@ def _drive(model: TargetModel, transition, z0: PhaseState, budget: Budget,
         candidates=np.frombuffer(candidates, dtype=np.int64),
         force_evals=np.frombuffer(evals, dtype=np.int64),
         dt_used=np.frombuffer(dts, dtype=np.float64),
-        extra_chances=extra_chances,
+        extra_chances=config.extra_chances,
         burn_in=budget.burn_in,
     )
 
@@ -378,12 +385,7 @@ def run_chain(model: TargetModel, config: SamplerConfig, z0: PhaseState, budget:
     """
     if rng is None:
         rng = chain_rng(config.seed, chain_index)
-
-    def transition(z: PhaseState) -> TransitionOutcome:
-        zbar = refresh_momentum(model, z, config.psi, rng)
-        return extra_chance_step(model, config, zbar, rng)
-
-    return _drive(model, transition, z0, budget, config.extra_chances)
+    return _drive(model, config, z0, budget, rng, config.psi)
 
 
 # ---------------------------------------------------------------------------
@@ -491,12 +493,7 @@ def run_palindromic_chain(model: TargetModel, config: SamplerConfig, z0: PhaseSt
     if rng is None:
         rng = chain_rng(config.seed, chain_index)
     half = palindromic_refresh_angle(config.psi)
-
-    def transition(z: PhaseState) -> TransitionOutcome:
-        out = extra_chance_step(model, config, refresh_momentum(model, z, half, rng), rng)
-        return replace(out, next_state=refresh_momentum(model, out.next_state, half, rng))
-
-    return _drive(model, transition, z0, budget, config.extra_chances)
+    return _drive(model, config, z0, budget, rng, half, half)
 
 
 def couple_noise(psi: float, initial_momentum, pre_refresh_noise, post_refresh_noise

@@ -80,6 +80,22 @@ class TestRefreshMomentum:
                 with pytest.raises(ValueError, match="noise"):
                     refresh_momentum(gauss2d, z, 0.5, ScriptedRng(normals=[1e200, bad]))
 
+    def test_noise_of_another_length_or_type_is_refused(self, gauss2d):
+        class StubRng:
+            def __init__(self, noise):
+                self.noise = noise
+
+            def standard_normal(self, size):
+                return self.noise
+
+        z = PhaseState([0.0, 0.0], [0.3, 0.4])
+        for bad in (0.7, [0.7], np.array([0.1, 0.2, 0.3]), ["0.1", "0.2"]):
+            with pytest.raises(ValueError, match="refresh noise"):
+                refresh_momentum(gauss2d, z, 0.5, StubRng(bad))
+        noise = np.array([0.7, -0.2], dtype=np.float32)
+        out = refresh_momentum(gauss2d, z, 0.5, StubRng(noise))
+        assert np.array_equal(out.y, math.cos(0.5) * z.y + math.sin(0.5) * noise.astype(float))
+
     def test_angle_range_enforced(self, gauss1d, rng):
         z = PhaseState([0.0], [0.0])
         with pytest.raises(ValueError):
@@ -357,6 +373,66 @@ class TestCarriedPotential:
                 assert back._potential is None
                 assert back._gradient is None
                 assert np.array_equal(back.x, state.x) and np.array_equal(back.y, state.y)
+
+
+class TestTracedCallGraph:
+    """The calls ``perfbench/tracing.py`` counts by rebinding names in ``xchmc.sampler``."""
+
+    @pytest.mark.parametrize("chain,budget", [
+        ("run_chain", Budget(transitions=200, burn_in=20)),
+        ("run_chain", Budget(force_evals=3000)),
+        ("run_palindromic_chain", 200),
+    ])
+    def test_steps_refreshes_and_legs_go_through_the_module_names(self, counting, monkeypatch,
+                                                                  dwell2d, chain, budget):
+        model, calls = counting(dwell2d)
+        events, legs, steps = [], [], []  # legs: one diverged flag per leg run
+
+        def counted_leg(model, spec, z):
+            try:
+                out = verlet_leg(model, spec, z)
+            except DivergedLeg:
+                legs.append(True)
+                raise
+            legs.append(False)
+            return out
+
+        def counted_step(model, config, z, rng):
+            events.append("step")
+            first = len(legs)
+            out = extra_chance_step(model, config, z, rng)
+            steps.append((out, legs[first:]))
+            return out
+
+        def counted_refresh(model, z, psi, rng):
+            events.append("refresh")
+            return refresh_momentum(model, z, psi, rng)
+
+        monkeypatch.setattr(sampler, "verlet_leg", counted_leg)
+        monkeypatch.setattr(sampler, "extra_chance_step", counted_step)
+        monkeypatch.setattr(sampler, "refresh_momentum", counted_refresh)
+        config = SamplerConfig(leg=LegSpec(0.5, 5), psi=math.asin(0.4), extra_chances=3,
+                               jitter_fraction=0.05)  # about 30 % of the legs diverge
+        rec = getattr(sampler, chain)(model, config, PhaseState([0.0, 0.0], [0.5, 0.5]), budget,
+                                      rng=chain_rng(5))
+        # One step per transition, burn-in included, between its refreshes.
+        assert len(steps) == rec.burn_in + rec.transitions > rec.burn_in
+        per_transition = ["refresh", "step"] + ["refresh"] * (chain == "run_palindromic_chain")
+        assert events == per_transition * len(steps)
+        flip_slot = config.extra_chances + 2
+        for out, run in steps:
+            if True in run:  # the diverged leg is the last one run, and the step flips
+                assert run.index(True) + 1 == len(run) and out.slot == flip_slot
+            else:
+                assert len(run) == out.candidates_computed
+        assert any(True in run for _, run in steps)
+        assert calls["gradient"] == sum(out.force_evals for out, _ in steps)
+        recorded = [out for out, _ in steps[rec.burn_in:]]
+        assert rec.total_force_evals == sum(out.force_evals for out in recorded)
+        assert rec.slots.tolist() == [out.slot for out in recorded]
+        assert rec.candidates.tolist() == [out.candidates_computed for out in recorded]
+        if rec.burn_in == 0:
+            assert calls["gradient"] == rec.total_force_evals
 
 
 class TestDensityGuard:
