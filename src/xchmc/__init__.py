@@ -11,12 +11,11 @@ from xchmc.diagnostics import (AverageEstimate, Observable, SlotStats, ZeroVaria
                                check_main_identity, coordinate, ess_initial_monotone,
                                estimate_average, interval_indicator, make_observable,
                                series_average, slot_stats, squared_radius)
-from xchmc.harness import (ExperimentSpec, SpecError, SummaryReport, load_spec,
-                           parse_spec, read_chain_csv, run_experiment, write_chain_csv)
+from xchmc.harness import (ExperimentSpec, SpecError, SummaryReport, load_spec, parse_spec,
+                           run_experiment, write_chain_csv)
 from xchmc.integrator import (DivergedLeg, LegSpec, check_reversibility,
                               check_volume_preservation, verlet_leg)
-from xchmc.phase import (MassMatrix, PhaseState, TargetModel, builtin_target, flip,
-                         gradient_fd_error, hamiltonian, log_rho)
+from xchmc.phase import MassMatrix, PhaseState, TargetModel, builtin_target, flip, log_rho
 from xchmc.rng import ScriptedRng, chain_rng
 from xchmc.sampler import (Budget, ChainRecord, SamplerConfig, SlotDistribution,
                            TransitionOutcome, couple_noise, extra_chance_step,
@@ -35,9 +34,8 @@ __all__ = [
     "ZeroVarianceError", "builtin_target", "chain_rng", "check_main_identity",
     "check_reversibility", "check_volume_preservation", "coordinate", "couple_noise",
     "ess_initial_monotone", "estimate_average", "extra_chance_step", "flip",
-    "gradient_fd_error", "hamiltonian", "interval_indicator",
-    "lahmc_from_log_ratios", "lahmc_probabilities", "load_spec", "log_rho",
-    "make_observable", "palindromic_refresh_angle", "parse_spec", "read_chain_csv",
+    "interval_indicator", "lahmc_from_log_ratios", "lahmc_probabilities", "load_spec",
+    "log_rho", "make_observable", "palindromic_refresh_angle", "parse_spec",
     "refresh_momentum", "run_chain", "run_experiment", "run_palindromic_chain",
     "series_average", "sigma_sequence", "slot_distribution", "slot_stats", "squared_radius",
     "verify", "verlet_leg", "write_chain_csv",

@@ -74,6 +74,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sample(args) -> int:
+    if args.out is None and (args.format == "json" or args.momenta):
+        flag = "--format json" if args.format == "json" else "--momenta"
+        raise ValueError(f"{flag} needs --out: without it only the summary line is printed")
     # Replica (0, 0) of the one-value dt sweep at --dt, as `xchmc sweep` runs it.
     spec = parse_spec({
         "target": args.target, "dims": args.dims, "sweep": "dt", "values": [args.dt],
@@ -155,7 +158,10 @@ def _cmd_ess(args) -> int:
                     raise ValueError(f"{where}: {row[idx]!r} in column {args.column!r} "
                                      "is not a finite number")
                 values.append(value)
-    mean, ess, stderr = series_average(values)
+    try:
+        mean, ess, stderr = series_average(values)
+    except ValueError as exc:
+        raise ValueError(f"{args.input}: column {args.column!r}: {exc}") from None
     payload = {"column": args.column, "n": len(values), "mean": mean,
                "ess": ess, "stderr": stderr}
     if math.isnan(ess):
@@ -166,14 +172,16 @@ def _cmd_ess(args) -> int:
 
 def _cmd_plot_data(args) -> int:
     summary = json.loads(Path(args.summary).read_text())
-    axis = summary["spec"]["sweep_axis"]
-    lines = [f"{axis},ess_mean,ess_std"]
-    for block in summary["results"]:
-        agg = block["aggregate"]
-        # A null aggregate is an empty field: no replica had a finite ESS, or,
-        # for ess_std, fewer than two did.
-        fields = [block["value"], agg["ess_mean"], agg["ess_std"]]
-        lines.append(",".join("" if f is None else str(f) for f in fields))
+    try:
+        lines = [f"{summary['spec']['sweep_axis']},ess_mean,ess_std"]
+        for block in summary["results"]:
+            agg = block["aggregate"]
+            # A null aggregate is an empty field: no replica had a finite ESS, or,
+            # for ess_std, fewer than two did.
+            fields = [block["value"], agg["ess_mean"], agg["ess_std"]]
+            lines.append(",".join("" if f is None else str(f) for f in fields))
+    except KeyError as exc:
+        raise ValueError(f"{args.summary}: not a sweep summary: no key {exc.args[0]!r}") from None
     text = "\n".join(lines) + "\n"
     if args.out is not None:
         args.out.write_text(text)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import math
@@ -28,7 +27,6 @@ __all__ = [
     "sample_chain",
     "run_experiment",
     "write_chain_csv",
-    "read_chain_csv",
 ]
 
 SWEEP_AXES = ("dt", "leg_span", "sin_psi", "K")
@@ -333,15 +331,13 @@ class SummaryReport:
     spec: ExperimentSpec
     results: tuple
 
-    def to_json_dict(self) -> dict:
-        return _json_safe({
+    def json_bytes(self) -> bytes:
+        payload = _json_safe({
             "schema": "xchmc-summary-v1",
             "spec": _spec_payload(self.spec),
             "results": list(self.results),
         })
-
-    def json_bytes(self) -> bytes:
-        return (json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n").encode()
+        return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
 
 
 def _aggregate(entries: list[dict]) -> dict:
@@ -436,21 +432,3 @@ def write_chain_csv(record: ChainRecord, path, include_momenta: bool = False) ->
     lines.append("")
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines))
-
-
-def read_chain_csv(path) -> dict:
-    """Read a chain CSV back into arrays; inverse of :func:`write_chain_csv`."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    x_cols = [i for i, name in enumerate(header) if name.startswith("x")]
-    y_cols = [i for i, name in enumerate(header) if name.startswith("y")]
-    positions = np.array([[float(row[i]) for i in x_cols] for row in rows])
-    momenta = np.array([[float(row[i]) for i in y_cols] for row in rows]) if y_cols else None
-    slots = np.array([int(row[1]) for row in rows[1:]], dtype=int)
-    dts = np.array([float(row[2]) for row in rows[1:]])
-    out = {"positions": positions, "slots": slots, "dt": dts, "header": header}
-    if momenta is not None:
-        out["momenta"] = momenta
-    return out

@@ -14,7 +14,6 @@ __all__ = [
     "MassMatrix",
     "TargetModel",
     "flip",
-    "hamiltonian",
     "log_rho",
     "builtin_target",
     "gradient_fd_error",
@@ -274,13 +273,6 @@ def _check_dim(model: TargetModel, z: PhaseState) -> None:
         raise ValueError(f"state dimension {z.dim} does not match target dimension {model.dim}")
 
 
-def hamiltonian(model: TargetModel, z: PhaseState) -> float:
-    """Total energy 0.5 y' M^-1 y + V(x); +inf when either term is not finite."""
-    _check_dim(model, z)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _hamiltonian(model, z.y, float(model.potential(z.x)))
-
-
 def log_rho(model: TargetModel, z: PhaseState) -> float:
     """Unnormalized log density -beta H(z); -inf wherever the potential is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -288,9 +280,10 @@ def log_rho(model: TargetModel, z: PhaseState) -> float:
 
 
 def _hamiltonian(model: TargetModel, y: np.ndarray, v: float) -> float:
-    """:func:`hamiltonian` of a state with momentum ``y`` and potential ``v``.
+    """Total energy 0.5 y' M^-1 y + v of momentum ``y`` and potential ``v``.
 
-    Unguarded: the caller holds ``np.errstate(over="ignore", invalid="ignore")``.
+    +inf when either term is not finite.  Unguarded: the caller holds
+    ``np.errstate(over="ignore", invalid="ignore")``.
     """
     if not math.isfinite(v):
         return math.inf

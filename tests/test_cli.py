@@ -122,6 +122,23 @@ class TestSample:
         assert main(SAMPLE + ["--budget", "0"]) == 1
         assert "budget_force_evals" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra,flag", [
+        (["--format", "json"], "--format json"),
+        (["--momenta"], "--momenta"),
+        (["--format", "json", "--momenta"], "--format json"),
+    ])
+    def test_output_flag_without_out_is_usage_error_naming_it(self, monkeypatch, capsys,
+                                                              extra, flag):
+        # Without --out only the summary line is printed, so the flag would do nothing.
+        def no_chain(*args, **kwargs):
+            raise AssertionError("run_chain called for an output flag without --out")
+
+        monkeypatch.setattr("xchmc.harness.run_chain", no_chain)
+        assert main(SAMPLE + extra) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {flag} needs --out")
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 1
 
@@ -204,6 +221,20 @@ class TestEss:
         assert main(["ess", "--input", str(path), "--column", "v"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: line {line}: ")
+        assert detail in err
+
+    @pytest.mark.parametrize("text,detail", [
+        ("v\n", "values must form a non-empty vector"),
+        ("t,v\n0,\n1,\n", "values must form a non-empty vector"),
+        ("v\n" + "1.0\n2.0\n" * 4, "need at least 10 points"),
+    ])
+    def test_too_few_values_is_usage_error_naming_file_and_column(self, tmp_path, capsys,
+                                                                  text, detail):
+        path = tmp_path / "short.csv"
+        path.write_text(text)
+        assert main(["ess", "--input", str(path), "--column", "v"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: column 'v': ")
         assert detail in err
 
 
@@ -297,6 +328,24 @@ class TestSweepAndPlotData:
                         {"value": 0.3, "aggregate": {"ess_mean": 40.25, "ess_std": 3.0}}]}))
         assert main(["plot-data", "--summary", str(summary)]) == 0
         assert capsys.readouterr().out == "dt,ess_mean,ess_std\n0.1,,\n0.2,12.5,\n0.3,40.25,3.0\n"
+
+    @pytest.mark.parametrize("summary,key", [
+        ({"a": 1}, "spec"),
+        ({"spec": {}, "results": []}, "sweep_axis"),
+        ({"spec": {"sweep_axis": "dt"}}, "results"),
+        ({"spec": {"sweep_axis": "dt"}, "results": [{"value": 0.1}]}, "aggregate"),
+        ({"spec": {"sweep_axis": "dt"},
+          "results": [{"value": 0.1, "aggregate": {"ess_mean": 2.0}}]}, "ess_std"),
+    ])
+    def test_plot_data_of_a_non_summary_is_usage_error_naming_the_key(self, tmp_path, capsys,
+                                                                      summary, key):
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps(summary))
+        out = tmp_path / "plot.csv"
+        assert main(["plot-data", "--summary", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {path}: not a sweep summary: no key {key!r}\n"
+        assert not out.exists()
 
 
 class TestModuleEntryPoint:

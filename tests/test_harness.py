@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from xchmc import (Budget, PhaseState, SpecError, builtin_target, chain_rng,
-                   load_spec, parse_spec, read_chain_csv, run_chain,
-                   run_experiment, write_chain_csv)
+                   load_spec, parse_spec, run_chain, run_experiment, series_average,
+                   write_chain_csv)
 import xchmc.harness as harness
 from xchmc.cli import main
 from xchmc.harness import _config_for, sample_chain
@@ -29,6 +29,16 @@ def tiny_spec(**overrides):
            "budget_force_evals": 1000, "burn_in": 5, "seed": 7}
     raw.update(overrides)
     return parse_spec(raw)
+
+
+def assert_ess_reads(path, column, values, capsys):
+    """`xchmc ess` on a chain CSV column prints exactly the series_average of ``values``."""
+    capsys.readouterr()
+    assert main(["ess", "--input", str(path), "--column", column]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    expected = [None if math.isnan(f) else f for f in series_average(values)]
+    assert [payload[k] for k in ("mean", "ess", "stderr")] == expected
+    assert payload["n"] == len(values)
 
 
 class TestParseSpec:
@@ -224,7 +234,7 @@ class TestRunExperiment:
         assert agg["ess_std"] >= 0.0
         assert set(agg["slot_means"]) == {"a0", "flip"}
 
-    def test_replica_streams_are_reproducible_by_hand(self, tmp_path):
+    def test_replica_streams_are_reproducible_by_hand(self, tmp_path, capsys):
         spec = tiny_spec(out_dir=str(tmp_path))
         run_experiment(spec)
         model = builtin_target("gaussian", 1)
@@ -233,10 +243,10 @@ class TestRunExperiment:
         record = run_chain(model, _config_for(spec, 0.3),
                            PhaseState(np.zeros(1), y0),
                            Budget(force_evals=1000, burn_in=5), rng=rng)
-        loaded = read_chain_csv(tmp_path / "dt_00_rep00.csv")
-        assert np.array_equal(loaded["positions"], record.positions)
-        assert np.array_equal(loaded["slots"], record.slots)
-        assert np.array_equal(loaded["dt"], record.dt_used)
+        path = tmp_path / "dt_00_rep00.csv"
+        for column, values in [("x0", record.positions[:, 0]), ("slot", record.slots),
+                               ("dt", record.dt_used)]:
+            assert_ess_reads(path, column, values, capsys)
 
     def test_summary_bytes_identical_across_runs_and_directories(self, tmp_path):
         a = run_experiment(tiny_spec(replicas=2, out_dir=str(tmp_path / "a")))
@@ -333,7 +343,7 @@ class TestRunExperiment:
             "sin_psi": 1.0, "extra_chances": 0, "jitter": 0.0, "replicas": 1,
             "budget_force_evals": 1000, "burn_in": 5, "observable": "x0", "seed": 7,
             "include_momenta": False}
-        assert report.to_json_dict()["spec"]["sweep_values"] == [0.3]
+        assert json.loads(report.json_bytes())["spec"]["sweep_values"] == [0.3]
 
     def test_failed_replica_recorded_not_fatal(self):
         # 20 force evals -> 4 transitions, far too short for an ESS estimate
@@ -394,7 +404,7 @@ class TestRunExperiment:
 
 
 class TestChainCsv:
-    def test_round_trip_is_exact(self, tmp_path, dwell2d):
+    def test_round_trip_is_exact(self, tmp_path, dwell2d, capsys):
         rng = chain_rng(5, 0)
         z0 = PhaseState(rng.standard_normal(2), rng.standard_normal(2))
         from xchmc import LegSpec, SamplerConfig
@@ -403,22 +413,22 @@ class TestChainCsv:
         record = run_chain(dwell2d, config, z0, Budget(transitions=50), rng=rng)
         path = tmp_path / "chain.csv"
         write_chain_csv(record, path, include_momenta=True)
-        loaded = read_chain_csv(path)
-        assert np.array_equal(loaded["positions"], record.positions)
-        assert np.array_equal(loaded["momenta"], record.momenta)
-        assert np.array_equal(loaded["slots"], record.slots)
-        assert np.array_equal(loaded["dt"], record.dt_used)
+        columns = [("slot", record.slots), ("dt", record.dt_used)]
+        for i in range(2):
+            columns += [(f"x{i}", record.positions[:, i]), (f"y{i}", record.momenta[:, i])]
+        for column, values in columns:
+            assert_ess_reads(path, column, values, capsys)
 
-    def test_momenta_omitted_by_default(self, tmp_path, gauss1d):
+    def test_momenta_omitted_by_default(self, tmp_path, gauss1d, capsys):
         from xchmc import LegSpec, SamplerConfig
         config = SamplerConfig(leg=LegSpec(0.3, 2), psi=1.0, seed=1)
         record = run_chain(gauss1d, config, PhaseState([0.0], [1.0]),
                            Budget(transitions=5))
         path = tmp_path / "chain.csv"
         write_chain_csv(record, path)
-        loaded = read_chain_csv(path)
-        assert "momenta" not in loaded
-        assert loaded["header"][:3] == ["transition", "slot", "dt"]
+        assert path.read_text().splitlines()[0] == "transition,slot,dt,x0"
+        assert main(["ess", "--input", str(path), "--column", "y0"]) == 1
+        assert "column 'y0' not in" in capsys.readouterr().err
 
     @pytest.mark.parametrize("include_momenta", [False, True])
     def test_bytes_match_csv_writer(self, tmp_path, dwell2d, include_momenta):

@@ -10,11 +10,11 @@ import pytest
 
 from xchmc import (Budget, LegSpec, MassMatrix, PhaseState, SamplerConfig, ScriptedRng,
                    builtin_target, check_volume_preservation, ess_initial_monotone,
-                   extra_chance_step, gradient_fd_error, interval_indicator, log_rho,
-                   refresh_momentum, run_chain, series_average, slot_distribution)
+                   extra_chance_step, interval_indicator, log_rho, refresh_momentum,
+                   run_chain, series_average, slot_distribution)
 from xchmc.harness import parse_spec, sample_chain
 from xchmc.integrator import verlet_leg
-from xchmc.phase import TargetModel, _real
+from xchmc.phase import TargetModel, _real, gradient_fd_error
 from xchmc.sampler import couple_noise, lahmc_from_log_ratios, palindromic_refresh_angle
 from xchmc.verification import verify_reversibility
 

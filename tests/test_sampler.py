@@ -1,9 +1,12 @@
 import copy
 import dataclasses
+import importlib
 import math
 import pickle
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +17,7 @@ from test_kernel_reference import walled
 import xchmc.sampler as sampler
 from xchmc import (Budget, DivergedLeg, LegSpec, MassMatrix, PhaseState, SamplerConfig,
                    ScriptedRng, TargetModel, builtin_target, chain_rng, couple_noise,
-                   ess_initial_monotone, extra_chance_step, flip, hamiltonian,
-                   lahmc_from_log_ratios, lahmc_probabilities, log_rho,
+                   ess_initial_monotone, extra_chance_step, flip, lahmc_from_log_ratios, lahmc_probabilities, log_rho,
                    palindromic_refresh_angle, refresh_momentum, run_chain,
                    run_palindromic_chain, sigma_sequence, slot_distribution,
                    slot_stats, verlet_leg)
@@ -170,7 +172,7 @@ class TestSigmaSequence:
         z = PhaseState([1.5], [1.7])
         leg = LegSpec(1.5, 1)
         out, _ = verlet_leg(gauss1d, leg, z)
-        delta_h = hamiltonian(gauss1d, out) - hamiltonian(gauss1d, z)
+        delta_h = log_rho(gauss1d, z) - log_rho(gauss1d, out)  # beta = 1
         sd = sigma_sequence(gauss1d, leg, z, 0)
         assert sd.sigma[0] == pytest.approx(min(1.0, math.exp(-delta_h)), rel=1e-13)
 
@@ -376,7 +378,21 @@ class TestCarriedPotential:
 
 
 class TestTracedCallGraph:
-    """The calls ``perfbench/tracing.py`` counts by rebinding names in ``xchmc.sampler``."""
+    """The names ``perfbench/tracing.py`` rebinds, and the calls it counts through them."""
+
+    def test_tracer_rebinds_and_restores_every_name(self, monkeypatch, tmp_path):
+        # Deleting or renaming a name the benchmark rebinds fails here, not only there.
+        # The import leaves no bytecode cache in the benchmark's directory.
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        tracer = importlib.import_module("tracing").Tracer(tmp_path)
+        original = sampler.extra_chance_step
+        try:
+            tracer.install()
+            assert sampler.extra_chance_step is not original
+        finally:
+            assert tracer.uninstall() == []
+        assert sampler.extra_chance_step is original
 
     @pytest.mark.parametrize("chain,budget", [
         ("run_chain", Budget(transitions=200, burn_in=20)),
