@@ -171,7 +171,10 @@ def _cmd_ess(args) -> int:
 
 
 def _cmd_plot_data(args) -> int:
-    summary = json.loads(Path(args.summary).read_text())
+    try:
+        summary = json.loads(Path(args.summary).read_text())
+    except ValueError as exc:  # not JSON, or not UTF-8 text
+        raise ValueError(f"{args.summary}: not a sweep summary: {exc}") from None
     try:
         lines = [f"{summary['spec']['sweep_axis']},ess_mean,ess_std"]
         for block in summary["results"]:
@@ -182,6 +185,8 @@ def _cmd_plot_data(args) -> int:
             lines.append(",".join("" if f is None else str(f) for f in fields))
     except KeyError as exc:
         raise ValueError(f"{args.summary}: not a sweep summary: no key {exc.args[0]!r}") from None
+    except TypeError as exc:  # a list, number or string where an object or list belongs
+        raise ValueError(f"{args.summary}: not a sweep summary: {exc}") from None
     text = "\n".join(lines) + "\n"
     if args.out is not None:
         args.out.write_text(text)

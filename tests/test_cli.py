@@ -336,15 +336,22 @@ class TestSweepAndPlotData:
         ({"spec": {"sweep_axis": "dt"}, "results": [{"value": 0.1}]}, "aggregate"),
         ({"spec": {"sweep_axis": "dt"},
           "results": [{"value": 0.1, "aggregate": {"ess_mean": 2.0}}]}, "ess_std"),
+        # Given as file text, with Python's or json's message as the reason.
+        pytest.param("[1, 2]", "list indices must be integers or slices, not str", id="list"),
+        pytest.param('{"spec": {"sweep_axis": "dt"}, "results": [1]}',
+                     "'int' object is not subscriptable", id="result_not_an_object"),
+        pytest.param("sweep summary", "Expecting value: line 1 column 1 (char 0)",
+                     id="not_json"),
     ])
     def test_plot_data_of_a_non_summary_is_usage_error_naming_the_key(self, tmp_path, capsys,
                                                                       summary, key):
         path = tmp_path / "other.json"
-        path.write_text(json.dumps(summary))
+        text = isinstance(summary, str)
+        path.write_text(summary if text else json.dumps(summary))
         out = tmp_path / "plot.csv"
         assert main(["plot-data", "--summary", str(path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == \
-            f"error: {path}: not a sweep summary: no key {key!r}\n"
+        reason = key if text else f"no key {key!r}"
+        assert capsys.readouterr().err == f"error: {path}: not a sweep summary: {reason}\n"
         assert not out.exists()
 
 

@@ -122,6 +122,12 @@ class TestParseSpec:
           for name, bad in (("gaussian", {"beta": True}), ("banana", {"curvature": "0.5"}),
                             ("gaussian", {"variances": ["1", "4"]}),
                             ("double_well", {"mass": [True, True]}))],
+        ({**MINIMAL, "burn_in": -1}, "burn_in"),
+        ({**MINIMAL, "sweep": "K", "values": [0], "fixed": {"dt": 0.0, "L": 4}}, "fixed.dt"),
+        ({**MINIMAL, "sweep": "K", "values": [0], "fixed": {"dt": 0.2, "leg_span": -1.0}},
+         "fixed.leg_span"),
+        ({**MINIMAL, "sweep": "leg_span", "values": [1.0, 0.0], "fixed": {"dt": 0.2}},
+         "sweep.values[1]"),
     ])
     def test_malformed_field_is_a_spec_error(self, tmp_path, raw, field):
         with pytest.raises(SpecError) as err:
