@@ -346,11 +346,11 @@ class TestSweepAndPlotData:
     def test_plot_data_of_a_non_summary_is_usage_error_naming_the_key(self, tmp_path, capsys,
                                                                       summary, key):
         path = tmp_path / "other.json"
-        text = isinstance(summary, str)
-        path.write_text(summary if text else json.dumps(summary))
+        as_text = isinstance(summary, str)
+        path.write_text(summary if as_text else json.dumps(summary))
         out = tmp_path / "plot.csv"
         assert main(["plot-data", "--summary", str(path), "--out", str(out)]) == 1
-        reason = key if text else f"no key {key!r}"
+        reason = key if as_text else f"no key {key!r}"
         assert capsys.readouterr().err == f"error: {path}: not a sweep summary: {reason}\n"
         assert not out.exists()
 

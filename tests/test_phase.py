@@ -287,7 +287,7 @@ class TestBuiltinTargets:
 
 # Each integer that enters the API, as (owner.name, a call that passes the given
 # value there). A class keeps the value as its field of that name.
-_Z2 = PhaseState([0.5, 0.1], [0.2, -0.3])
+_ORBIT = (builtin_target("gaussian", 2), LegSpec(0.1, 2), PhaseState([0.5, 0.1], [0.2, -0.3]))
 INTEGER_FIELDS = {
     "Budget.transitions": lambda v: Budget(transitions=v),
     "Budget.force_evals": lambda v: Budget(force_evals=v),
@@ -301,12 +301,9 @@ INTEGER_FIELDS = {
     "builtin_target.dims": lambda v: builtin_target("gaussian", v),
     "coordinate.index": coordinate,
     "interval_indicator.index": lambda v: interval_indicator(v, 0.0, 1.0),
-    "check_main_identity.k": lambda v: check_main_identity(builtin_target("gaussian", 2),
-                                                           LegSpec(0.1, 2), _Z2, v),
-    "sigma_sequence.extra_chances": lambda v: sigma_sequence(builtin_target("gaussian", 2),
-                                                             LegSpec(0.1, 2), _Z2, v),
-    "lahmc_probabilities.extra_chances": lambda v: lahmc_probabilities(
-        builtin_target("gaussian", 2), LegSpec(0.1, 2), _Z2, v),
+    "check_main_identity.k": lambda v: check_main_identity(*_ORBIT, v),
+    "sigma_sequence.extra_chances": lambda v: sigma_sequence(*_ORBIT, v),
+    "lahmc_probabilities.extra_chances": lambda v: lahmc_probabilities(*_ORBIT, v),
 }
 KEPT_INTEGERS = sorted(site for site in INTEGER_FIELDS if site[0].isupper())
 
