@@ -1,11 +1,16 @@
 #!/usr/bin/env python3
 """Paired benchmark runs of two checkouts, alternating which side runs first.
 
-Usage (from the repository root)::
+Usage (from the repository root, with the change committed)::
 
-    mkdir -p /tmp/xchmc-parent
-    git archive HEAD~1 | tar -x -C /tmp/xchmc-parent
-    python3 scripts/paired_bench.py --parent /tmp/xchmc-parent --out BENCH_topic.json
+    python3 scripts/paired_bench.py --out BENCH_topic.json
+    python3 scripts/paired_bench.py --parent v1.0 --out BENCH_topic.json
+
+The change side is the checkout ``--change`` (default: this one).  The parent
+side is the git revision ``--parent`` (default ``HEAD~1``) of that checkout's
+repository, exported with ``git archive`` into a temporary directory that is
+removed afterwards.  The output records both sides' full commit hashes under
+``commits``, since the exported tree has no ``.git`` to tell its own.
 
 Pair i runs ``perfbench/run.py --seed 11+i --trace 0`` in each checkout, for
 the ``run_seconds`` of ``BENCHMARK.json``, the parent first on even i.  Each
@@ -19,9 +24,10 @@ Three traced pairs, alternating in the same way so that host drift does not
 show up as a per-layer difference, then give each side's per-layer medians.
 
 For a side that is a git checkout, ``src_edited`` records whether its
-``src/`` has uncommitted changes (None for a side that is not a checkout).
-The script stops before any run when the change side's ``src/`` has them,
-since the runs would then not measure the committed tree.
+``src/`` has uncommitted changes (None for a side that is not a checkout, such
+as the exported parent).  The script stops before any run when the change
+side's ``src/`` has them, since the runs would then not measure the committed
+tree.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import json
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,17 +57,34 @@ def load_spread(side: str, checkout: Path):
     return module
 
 
+def git(checkout: Path, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True)
+
+
 def src_edited(checkout: Path) -> bool | None:
     """Whether ``src/`` of ``checkout`` has uncommitted changes; None outside a git checkout."""
-    def git(*args):
-        return subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True)
-    top = git("rev-parse", "--show-toplevel")
+    top = git(checkout, "rev-parse", "--show-toplevel")
     if top.returncode or Path(top.stdout.strip()).resolve() != checkout:
         return None
-    status = git("status", "--porcelain", "--", "src")
+    status = git(checkout, "status", "--porcelain", "--", "src")
     if status.returncode:
         raise RuntimeError(f"git status failed in {checkout}: {status.stderr.strip()}")
     return bool(status.stdout.strip())
+
+
+def commit_of(checkout: Path, revision: str) -> str:
+    """The full hash of the commit ``revision`` names in the repository of ``checkout``."""
+    out = git(checkout, "rev-parse", "--verify", "--end-of-options", f"{revision}^{{commit}}")
+    if out.returncode:
+        raise RuntimeError(f"{revision!r} is not a commit of {checkout}: {out.stderr.strip()}")
+    return out.stdout.strip()
+
+
+def export(checkout: Path, commit: str, dest: Path) -> None:
+    """The tree of ``commit`` written into ``dest``, as ``git archive | tar -x`` writes it."""
+    archive = subprocess.run(["git", "-C", str(checkout), "archive", commit],
+                             capture_output=True, check=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
 
 
 def metric_values(run: dict) -> dict:
@@ -99,22 +123,32 @@ def compare(runs: list[dict], metric: str, better: str, bound: float, spread) ->
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--parent", default="HEAD~1",
+                        help="git revision of the parent side (default: HEAD~1)")
     parser.add_argument("--change", type=Path, default=ROOT)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
 
-    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    edited = {side: src_edited(path) for side, path in checkouts.items()}
-    if edited["change"]:
-        print(f"{checkouts['change']}/src has uncommitted changes; commit them first",
-              file=sys.stderr)
+    change = args.change.resolve()
+    if src_edited(change):
+        print(f"{change}/src has uncommitted changes; commit them first", file=sys.stderr)
         return 1
+    commits = {"parent": commit_of(change, args.parent), "change": commit_of(change, "HEAD")}
+    with tempfile.TemporaryDirectory(prefix="xchmc-parent-") as parent:
+        export(change, commits["parent"], Path(parent))
+        run_pairs({"parent": Path(parent).resolve(), "change": change}, commits, args.out)
+    return 0
+
+
+def run_pairs(checkouts: dict, commits: dict, out_path: Path) -> None:
+    """Paired and traced runs of both checkouts, written to ``out_path`` after each workload."""
+    edited = {side: src_edited(path) for side, path in checkouts.items()}
     spread_of = {side: load_spread(side, path) for side, path in checkouts.items()}
     bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     out = {"pairs": PAIRS, "first_seed": FIRST_SEED, "run_seconds": seconds,
-           "traced_runs": TRACED_RUNS, "src_edited": edited, "machine": {}, "workloads": {}}
+           "traced_runs": TRACED_RUNS, "commits": commits, "src_edited": edited,
+           "machine": {}, "workloads": {}}
     for workload in (w["name"] for w in bench["workloads"]):
         runs = []
         for i in range(PAIRS):
@@ -149,13 +183,12 @@ def main() -> int:
             "runs": runs, "summary": summary, "traced": traced,
             "all_correct": all(r["correct"] for r in runs),
             "same_outputs": all(len(d) == 1 for d in digests.values())}
-        args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+        out_path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
         fe = summary["force_evals_per_s"]
         print(f"{workload}: force_evals_per_s parent {fe['parent']['median']:.0f} "
               f"change {fe['change']['median']:.0f}, wins {fe['wins']}/{PAIRS}, "
               f"gain rule met: {fe['gain_rule_met']}, "
               f"same outputs: {out['workloads'][workload]['same_outputs']}", flush=True)
-    return 0
 
 
 if __name__ == "__main__":

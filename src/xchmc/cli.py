@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 verification failure,
-3 runtime failure.
+3 runtime failure.  An error about what a command's input file holds names the file.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a replica sweep from a JSON spec file")
     p.add_argument("--spec", type=Path, required=True)
     p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
-    p.set_defaults(handler=_cmd_sweep)
+    p.set_defaults(handler=_cmd_sweep, source=("spec", SpecError))  # not --workers errors
 
     p = sub.add_parser("verify", help="run the exact-identity verification suites")
     p.add_argument("--suite", default="all", choices=sorted(SUITES) + ["all"])
@@ -63,12 +63,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ess", help="effective sample size of a CSV column")
     p.add_argument("--input", type=Path, required=True)
     p.add_argument("--column", required=True)
-    p.set_defaults(handler=_cmd_ess)
+    p.set_defaults(handler=_cmd_ess, source=("input", ValueError))
 
     p = sub.add_parser("plot-data", help="emit plot-ready aggregates from a sweep summary")
     p.add_argument("--summary", type=Path, required=True, help="summary.json from a sweep")
     p.add_argument("--out", type=Path, default=None, help="output CSV (default: stdout)")
-    p.set_defaults(handler=_cmd_plot_data)
+    p.set_defaults(handler=_cmd_plot_data, source=("summary", ValueError))
 
     return parser
 
@@ -138,13 +138,13 @@ def _cmd_ess(args) -> int:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            raise ValueError(f"{args.input}: line 1: no header row (the file is empty)")
+            raise ValueError("line 1: no header row (the file is empty)")
         if args.column not in header:
-            raise ValueError(f"column {args.column!r} not in {args.input} (have: {header})")
+            raise ValueError(f"column {args.column!r} not in the header (have: {header})")
         idx = header.index(args.column)
         values = []
         for row in reader:
-            where = f"{args.input}: line {reader.line_num}"
+            where = f"line {reader.line_num}"
             if len(row) <= idx:
                 raise ValueError(f"{where}: column {args.column!r} is field {idx + 1}, "
                                  f"but the row has only {len(row)}")
@@ -161,7 +161,7 @@ def _cmd_ess(args) -> int:
     try:
         mean, ess, stderr = series_average(values)
     except ValueError as exc:
-        raise ValueError(f"{args.input}: column {args.column!r}: {exc}") from None
+        raise ValueError(f"column {args.column!r}: {exc}") from None
     payload = {"column": args.column, "n": len(values), "mean": mean,
                "ess": ess, "stderr": stderr}
     if math.isnan(ess):
@@ -173,9 +173,6 @@ def _cmd_ess(args) -> int:
 def _cmd_plot_data(args) -> int:
     try:
         summary = json.loads(Path(args.summary).read_text())
-    except ValueError as exc:  # not JSON, or not UTF-8 text
-        raise ValueError(f"{args.summary}: not a sweep summary: {exc}") from None
-    try:
         lines = [f"{summary['spec']['sweep_axis']},ess_mean,ess_std"]
         for block in summary["results"]:
             agg = block["aggregate"]
@@ -184,9 +181,10 @@ def _cmd_plot_data(args) -> int:
             fields = [block["value"], agg["ess_mean"], agg["ess_std"]]
             lines.append(",".join("" if f is None else str(f) for f in fields))
     except KeyError as exc:
-        raise ValueError(f"{args.summary}: not a sweep summary: no key {exc.args[0]!r}") from None
-    except TypeError as exc:  # a list, number or string where an object or list belongs
-        raise ValueError(f"{args.summary}: not a sweep summary: {exc}") from None
+        raise ValueError(f"not a sweep summary: no key {exc.args[0]!r}") from None
+    # Not JSON or not UTF-8 text, or a list, number or string where an object or list belongs.
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"not a sweep summary: {exc}") from None
     text = "\n".join(lines) + "\n"
     if args.out is not None:
         args.out.write_text(text)
@@ -203,8 +201,10 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.handler(args)
-    except (SpecError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ValueError as exc:  # a SpecError among them
+        source, errors = getattr(args, "source", (None, ()))
+        where = f"{getattr(args, source)}: " if isinstance(exc, errors) else ""
+        print(f"error: {where}{exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

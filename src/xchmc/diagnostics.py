@@ -193,18 +193,15 @@ def interval_indicator(index: int, lo: float, hi: float) -> Observable:
 
 
 def make_observable(spec) -> Observable:
-    """Build an observable from its serialized form.
+    """Build an observable from its serialized form, the one a spec file holds.
 
-    Strings: ``"x<i>"`` for coordinate i, ``"r2"`` for the squared radius.
-    Dicts: ``{"kind": "coordinate", "index": i}``,
-    ``{"kind": "squared_radius"}``, or
-    ``{"kind": "indicator", "index": i, "lo": a, "hi": b}``.  An index must
-    be a non-negative integer (an integral float passes; a bool does not), and
-    ``lo`` and ``hi`` finite real numbers (not strings or bools), as
-    :func:`coordinate` and :func:`interval_indicator` check.
+    ``"x<i>"`` is coordinate i, ``"r2"`` the squared radius, and
+    ``{"kind": "indicator", "index": i, "lo": a, "hi": b}`` the indicator of
+    ``a <= x_i <= b``.  The index must be a non-negative integer (an integral
+    float passes; a bool does not), and ``lo`` and ``hi`` finite real numbers
+    (not strings or bools), as :func:`interval_indicator` checks.  Any other
+    value, an :class:`Observable` included, is an error.
     """
-    if isinstance(spec, Observable):
-        return spec
     if isinstance(spec, str):
         if spec == "r2":
             return squared_radius()
@@ -215,14 +212,9 @@ def make_observable(spec) -> Observable:
         unknown = set(spec) - {"kind", "index", "lo", "hi"}
         if unknown:
             raise ValueError(f"unknown observable keys: {sorted(unknown)}")
-        kind = spec.get("kind")
-        if kind == "coordinate":
-            return coordinate(spec["index"])
-        if kind == "squared_radius":
-            return squared_radius()
-        if kind == "indicator":
-            return interval_indicator(spec["index"], spec["lo"], spec["hi"])
-        raise ValueError(f"unknown observable kind {kind!r}")
+        if spec.get("kind") != "indicator":
+            raise ValueError(f"unknown observable kind {spec.get('kind')!r}")
+        return interval_indicator(spec["index"], spec["lo"], spec["hi"])
     raise ValueError(f"cannot interpret observable spec of type {type(spec).__name__}")
 
 

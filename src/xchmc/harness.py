@@ -58,7 +58,7 @@ class ExperimentSpec:
     replicas: int = 10
     budget_force_evals: int = 1_000_000
     burn_in: int = 500
-    observable: object = "x0"
+    observable: str | dict = "x0"
     seed: int = 0
     out_dir: str | None = None
     include_momenta: bool = False
@@ -214,10 +214,12 @@ def parse_spec(raw: dict) -> ExperimentSpec:
         extra_chances=extra_chances, jitter=jitter,
         observable=observable, out_dir=out_dir, include_momenta=include_momenta, **integers,
     )
-    # Fail fast on bad target parameters rather than inside a worker.
+    # Fail fast on bad target parameters rather than inside a worker, and on
+    # one with no JSON form for summary.json (an array's is its list).
     try:
         builtin_target(spec.target, spec.dims, **spec.target_params)
-    except ValueError as exc:
+        json.dumps(_json_safe(spec.target_params))
+    except (TypeError, ValueError) as exc:
         raise SpecError("target", str(exc)) from None
     for value in spec.sweep_values:
         _config_for(spec, value)
@@ -226,10 +228,9 @@ def parse_spec(raw: dict) -> ExperimentSpec:
 
 def load_spec(path) -> ExperimentSpec:
     """Read and validate a JSON experiment spec."""
-    text = Path(path).read_text()
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(Path(path).read_text())
+    except ValueError as exc:  # not JSON, or not UTF-8 text
         raise SpecError("spec", f"not valid JSON ({exc})") from None
     return parse_spec(raw)
 
@@ -244,7 +245,6 @@ def _config_for(spec: ExperimentSpec, value) -> SamplerConfig:
         psi=math.asin(params["sin_psi"]),
         extra_chances=params["K"],
         jitter_fraction=spec.jitter,
-        seed=spec.seed,
     )
 
 
@@ -312,6 +312,8 @@ def _run_replica(payload: dict) -> dict:
 def _json_safe(obj):
     if isinstance(obj, dict):
         return {str(k): _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):  # its nested lists, or the number of a 0-d array
+        return _json_safe(obj.tolist())
     if isinstance(obj, (list, tuple)):
         return [_json_safe(v) for v in obj]
     if isinstance(obj, (bool, np.bool_)):

@@ -126,15 +126,13 @@ def check_reversibility(model: TargetModel, spec: LegSpec, z: PhaseState) -> flo
     return diff / max(scale, 1.0)
 
 
-def check_volume_preservation(model: TargetModel, spec: LegSpec, z: PhaseState,
-                              step: float = 1e-5) -> float:
+def check_volume_preservation(model: TargetModel, spec: LegSpec, z: PhaseState) -> float:
     """|det J - 1| for the leg's Jacobian, estimated by central differences.
 
     The Jacobian of the full phase-space map (x, y) -> I(x, y) is formed column
-    by column with perturbation ``step`` per coordinate, which must be
-    positive and finite.
+    by column with a perturbation of 1e-5 per coordinate.
     """
-    step = _real("step", step, 0.0)
+    step = 1e-5
     d = z.dim
     base = np.concatenate([z.x, z.y])
 

@@ -423,18 +423,17 @@ def builtin_target(name: str, dims: int, *, beta: float = 1.0, mass=None,
     )
 
 
-def gradient_fd_error(model: TargetModel, x, relative_step: float = 1e-5) -> float:
+def gradient_fd_error(model: TargetModel, x) -> float:
     """Worst coordinatewise gap between the analytic gradient and central differences.
 
-    Step for coordinate i is ``relative_step * max(1, |x_i|)``.  A non-finite
-    gap is worse than any finite one, so it is returned at once.
+    Step for coordinate i is ``1e-5 * max(1, |x_i|)``.  A non-finite gap is
+    worse than any finite one, so it is returned at once.
     """
-    relative_step = _real("relative_step", relative_step, 0.0)
     x = _real_array("x", x, length=model.dim)
     g = _real_array("gradient values", model.gradient(x), finite=False, length=model.dim)
     worst = 0.0
     for i in range(x.size):
-        h = relative_step * max(1.0, abs(x[i]))
+        h = 1e-5 * max(1.0, abs(x[i]))
         xp = x.copy()
         xp[i] += h
         xm = x.copy()

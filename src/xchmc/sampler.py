@@ -371,12 +371,12 @@ def _drive(model: TargetModel, config: SamplerConfig, z0: PhaseState, budget: Bu
 
 
 def run_chain(model: TargetModel, config: SamplerConfig, z0: PhaseState, budget: Budget,
-              rng=None, chain_index: int = 0) -> ChainRecord:
+              rng=None) -> ChainRecord:
     """Run one chain: alternate momentum refresh and the delayed-rejection map.
 
-    With no explicit ``rng`` the stream is ``chain_rng(config.seed,
-    chain_index)``, making records bit-identical across runs with the same
-    seed and configuration.
+    With no explicit ``rng`` the stream is ``chain_rng(config.seed, 0)``,
+    making records bit-identical across runs with the same seed and
+    configuration.
 
     Each integrated leg costs ``config.leg.steps`` gradient evaluations, and a
     diverged one its partial count.  The first leg from ``z0`` costs one
@@ -384,7 +384,7 @@ def run_chain(model: TargetModel, config: SamplerConfig, z0: PhaseState, budget:
     carries the gradient that leg evaluated.
     """
     if rng is None:
-        rng = chain_rng(config.seed, chain_index)
+        rng = chain_rng(config.seed, 0)
     return _drive(model, config, z0, budget, rng, config.psi)
 
 
@@ -480,7 +480,7 @@ def palindromic_refresh_angle(psi: float) -> float:
 
 
 def run_palindromic_chain(model: TargetModel, config: SamplerConfig, z0: PhaseState,
-                          transitions: int, rng=None, chain_index: int = 0) -> ChainRecord:
+                          transitions: int, rng=None) -> ChainRecord:
     """Run the symmetric refresh/dynamics/refresh chain.
 
     Each transition refreshes with the half-step angle, applies the
@@ -491,7 +491,7 @@ def run_palindromic_chain(model: TargetModel, config: SamplerConfig, z0: PhaseSt
     """
     budget = Budget(transitions=transitions)
     if rng is None:
-        rng = chain_rng(config.seed, chain_index)
+        rng = chain_rng(config.seed, 0)
     half = palindromic_refresh_angle(config.psi)
     return _drive(model, config, z0, budget, rng, half, half)
 

@@ -10,7 +10,7 @@ import numpy as np
 from xchmc.diagnostics import check_main_identity
 from xchmc.integrator import (DivergedLeg, LegSpec, check_reversibility,
                               check_volume_preservation)
-from xchmc.phase import PhaseState, TargetModel, _integer, _real, _unchecked, builtin_target
+from xchmc.phase import PhaseState, TargetModel, _integer, _unchecked, builtin_target
 from xchmc.rng import ScriptedRng, chain_rng
 from xchmc.sampler import (Budget, SamplerConfig, _forward_log_ratios, couple_noise,
                            lahmc_from_log_ratios, run_chain, run_palindromic_chain,
@@ -85,7 +85,6 @@ def _battery(name: str, results, tolerance: float, required: int = 1,
     result is finite and within ``tolerance`` and at least ``required`` points
     were checked, so a check that returns NaN or -inf fails it.
     """
-    tolerance = _real("tolerance", tolerance, 0.0, lo_open=False)
     worst = 0.0
     checks = skipped = 0
     for result in results:
@@ -112,22 +111,18 @@ def _leg_battery(name: str, check, stream: int, points_per_target: int, seed: in
                            for _ in range(points_per_target)), tolerance)
 
 
-def verify_reversibility(points_per_target: int = 100, seed: int = DEFAULT_SEED,
-                         tolerance: float = 1e-10) -> CheckOutcome:
+def verify_reversibility(points_per_target: int = 100, seed: int = DEFAULT_SEED) -> CheckOutcome:
     """Integrate forward, flip, integrate back, flip: must restore the state."""
-    return _leg_battery("reversibility", check_reversibility, 1, points_per_target, seed,
-                        tolerance)
+    return _leg_battery("reversibility", check_reversibility, 1, points_per_target, seed, 1e-10)
 
 
-def verify_volume(points_per_target: int = 100, seed: int = DEFAULT_SEED,
-                  tolerance: float = 1e-5) -> CheckOutcome:
+def verify_volume(points_per_target: int = 100, seed: int = DEFAULT_SEED) -> CheckOutcome:
     """|det J - 1| of the leg map, via central-difference Jacobians."""
     return _leg_battery("volume_preservation", check_volume_preservation, 2, points_per_target,
-                        seed, tolerance)
+                        seed, 1e-5)
 
 
-def verify_main_identity(triples: int = 1000, seed: int = DEFAULT_SEED,
-                         tolerance: float = 1e-8) -> CheckOutcome:
+def verify_main_identity(triples: int = 1000, seed: int = DEFAULT_SEED) -> CheckOutcome:
     """rho * p_k must agree between each point and the flipped end of its orbit.
 
     Triples whose orbits diverge five times running are skipped; the battery
@@ -150,7 +145,7 @@ def verify_main_identity(triples: int = 1000, seed: int = DEFAULT_SEED,
                 yield result
                 break
 
-    return _battery("main_identity", discrepancies(), tolerance, max(1, triples // 2))
+    return _battery("main_identity", discrepancies(), 1e-8, max(1, triples // 2))
 
 
 def _lahmc_gap(model: TargetModel, leg: LegSpec, z: PhaseState, extra_chances: int) -> float:
@@ -161,8 +156,7 @@ def _lahmc_gap(model: TargetModel, leg: LegSpec, z: PhaseState, extra_chances: i
     return float(np.max(np.abs(slot_distribution(log_ratios).sigma - cumulative)))
 
 
-def verify_lahmc_equivalence(triples: int = 1000, seed: int = DEFAULT_SEED,
-                             tolerance: float = 1e-12) -> CheckOutcome:
+def verify_lahmc_equivalence(triples: int = 1000, seed: int = DEFAULT_SEED) -> CheckOutcome:
     """Cumulative look-ahead probabilities must equal the slot thresholds."""
     triples = _integer("triples", triples, 1)
     rng = chain_rng(seed, 4)
@@ -175,7 +169,7 @@ def verify_lahmc_equivalence(triples: int = 1000, seed: int = DEFAULT_SEED,
             yield _lahmc_gap(model, leg, _random_state(rng, model.dim),
                              chance_counts[i % len(chance_counts)])
 
-    return _battery("lahmc_equivalence", gaps(), tolerance)
+    return _battery("lahmc_equivalence", gaps(), 1e-12)
 
 
 def _coupling_discrepancy(sin_psi: float, transitions: int, seed: int) -> float:
@@ -209,14 +203,13 @@ def _coupling_discrepancy(sin_psi: float, transitions: int, seed: int) -> float:
     return float(gaps.max()) / scale
 
 
-def verify_palindromic_coupling(transitions: int = 100, seed: int = DEFAULT_SEED,
-                                tolerance: float = 1e-12) -> CheckOutcome:
+def verify_palindromic_coupling(transitions: int = 100, seed: int = DEFAULT_SEED) -> CheckOutcome:
     """The coupled palindromic and single-refresh chains must share positions."""
     transitions = _integer("transitions", transitions, 1)
     return _battery("palindromic_coupling",
                     (_coupling_discrepancy(sin_psi, transitions, seed)
                      for sin_psi in (0.25, 0.5, 1.0)),
-                    tolerance, detail=f"{transitions} transitions per angle")
+                    1e-12, detail=f"{transitions} transitions per angle")
 
 
 SUITES = {

@@ -213,14 +213,16 @@ class TestEss:
         ("t,v\n0,1.0\n1,abc\n", 3, "'abc' in column 'v' is not a number"),
         *[(f"t,v\n0,1.0\n1,2.0\n2,{cell}\n", 4, f"{cell!r} in column 'v' is not a finite number")
           for cell in ("nan", "inf", "-inf")],
+        # Bytes that are not UTF-8 text: the decoder's message, naming no line.
+        pytest.param(b"t,v\n0,\xff\xfe\n", None, "can't decode byte 0xff", id="not_utf8"),
     ])
     def test_malformed_csv_is_usage_error_naming_the_line(self, tmp_path, capsys, text, line,
                                                           detail):
         path = tmp_path / "bad.csv"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         assert main(["ess", "--input", str(path), "--column", "v"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: line {line}: ")
+        assert err.startswith(f"error: {path}: " + ("" if line is None else f"line {line}: "))
         assert detail in err
 
     @pytest.mark.parametrize("text,detail", [
@@ -281,11 +283,17 @@ class TestSweepAndPlotData:
         assert "workers" in capsys.readouterr().err
         assert not out_dir.exists()
 
-    def test_invalid_spec_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text,reason", [
+        (json.dumps({"target": "gaussian"}).encode(), "dims: is required"),
+        (b"{not json", "spec: not valid JSON (Expecting property name"),
+        (b"\xff\xfe{}", "can't decode byte 0xff in position 0"),
+    ], ids=["no_dims", "not_json", "not_utf8"])
+    def test_invalid_spec_is_usage_error(self, tmp_path, capsys, text, reason):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"target": "gaussian"}))
+        path.write_bytes(text)
         assert main(["sweep", "--spec", str(path)]) == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and reason in err
 
     def test_plot_data_emits_axis_and_aggregates(self, sweep_spec, capsys):
         spec_path, out_dir = sweep_spec
@@ -342,12 +350,15 @@ class TestSweepAndPlotData:
                      "'int' object is not subscriptable", id="result_not_an_object"),
         pytest.param("sweep summary", "Expecting value: line 1 column 1 (char 0)",
                      id="not_json"),
+        pytest.param(b"\xff\xfe", "'utf-8' codec can't decode byte 0xff in position 0: "
+                     "invalid start byte", id="not_utf8"),
     ])
     def test_plot_data_of_a_non_summary_is_usage_error_naming_the_key(self, tmp_path, capsys,
                                                                       summary, key):
         path = tmp_path / "other.json"
-        as_text = isinstance(summary, str)
-        path.write_text(summary if as_text else json.dumps(summary))
+        as_text = isinstance(summary, (str, bytes))
+        text = summary if as_text else json.dumps(summary)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         out = tmp_path / "plot.csv"
         assert main(["plot-data", "--summary", str(path), "--out", str(out)]) == 1
         reason = key if as_text else f"no key {key!r}"

@@ -187,17 +187,15 @@ class TestObservables:
         obs = make_observable({"kind": "indicator", "index": 0,
                                "lo": -1.0, "hi": 1.0})
         assert self._apply(obs, [[0.5], [1.5]]) == [1.0, 0.0]
-        obs = make_observable({"kind": "squared_radius"})
-        assert obs.name == "r2" and self._apply(obs, [[3.0, 4.0]]) == [25.0]
 
-    @pytest.mark.parametrize("kind", ["coordinate", "indicator"])
     @pytest.mark.parametrize("index", [2.5, True, "2"])
-    def test_make_observable_rejects_a_non_integer_index(self, kind, index):
+    def test_make_observable_rejects_a_non_integer_index(self, index):
         with pytest.raises(ValueError, match="index"):
-            make_observable({"kind": kind, "index": index, "lo": 0.0, "hi": 1.0})
+            make_observable({"kind": "indicator", "index": index, "lo": 0.0, "hi": 1.0})
 
     def test_make_observable_takes_an_integral_index(self):
-        assert make_observable({"kind": "coordinate", "index": 2.0}).name == "x2"
+        obs = make_observable({"kind": "indicator", "index": 2.0, "lo": 0.0, "hi": 1.0})
+        assert obs.name == "ind_x2_0_1"
 
     def test_constructors_reject_a_bool_index(self):
         # A bool would index a (n, 1, d) broadcast and average every coordinate.
@@ -217,9 +215,17 @@ class TestObservables:
         with pytest.raises(ValueError):
             make_observable({"kind": "mystery"})
         with pytest.raises(ValueError, match=r"^unknown observable keys: \['scale'\]$"):
-            make_observable({"kind": "coordinate", "index": 0, "scale": 2.0})
+            make_observable({"kind": "indicator", "index": 0, "lo": 0.0, "hi": 1.0,
+                             "scale": 2.0})
         with pytest.raises(ValueError, match="^cannot interpret observable spec of type int$"):
             make_observable(3)
+        # One spelling per observable: "x<i>", "r2" or an indicator object.
+        for kind in ("coordinate", "squared_radius"):
+            with pytest.raises(ValueError, match=f"^unknown observable kind '{kind}'$"):
+                make_observable({"kind": kind, "index": 0})
+        with pytest.raises(ValueError, match="^cannot interpret observable spec of type "
+                                             "Observable$"):
+            make_observable(coordinate(0))
 
 
 # Coordinates on a half-integer grid as well as arbitrary ones, so that indicator

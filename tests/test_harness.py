@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xchmc import (Budget, PhaseState, SpecError, builtin_target, chain_rng,
-                   load_spec, parse_spec, run_chain, run_experiment, series_average,
-                   write_chain_csv)
+from xchmc import (Budget, MassMatrix, PhaseState, SpecError, builtin_target, chain_rng,
+                   coordinate, load_spec, parse_spec, run_chain, run_experiment,
+                   series_average, write_chain_csv)
 import xchmc.harness as harness
 from xchmc.cli import main
 from xchmc.harness import _config_for, sample_chain
@@ -110,9 +110,10 @@ class TestParseSpec:
         ({**MINIMAL, "dims": 2, "observable": "x5"}, "observable"),
         ({**MINIMAL, "observable": {"kind": "indicator", "index": 1, "lo": 0, "hi": 1}},
          "observable"),
-        ({**MINIMAL, "observable": {"kind": "coordinate"}}, "observable"),
-        *[({**MINIMAL, "dims": 3, "observable": {"kind": "coordinate", "index": bad}},
-           "observable") for bad in (2.5, True, "2")],
+        ({**MINIMAL, "observable": {"kind": "indicator", "lo": 0, "hi": 1}}, "observable"),
+        *[({**MINIMAL, "dims": 3, "observable": {"kind": "indicator", "index": bad, "lo": 0,
+                                                 "hi": 1}}, "observable")
+          for bad in (2.5, True, "2")],
         ({**MINIMAL, "dims": 3, "observable": {"kind": "indicator", "index": 1.5, "lo": 0,
                                                "hi": 1}}, "observable"),
         ({**MINIMAL, "observable": {"kind": "indicator", "index": 0, "lo": "0", "hi": 1}},
@@ -181,16 +182,29 @@ class TestParseSpec:
         model = builtin_target(spec.target, spec.dims, **spec.target_params)
         assert model.mass.kind == "diagonal"
 
-    def test_bad_target_params_rejected_up_front(self):
-        raw = {"target": {"name": "gaussian",
-                          "params": {"dims": 1, "variances": [-1.0]}},
+    # A MassMatrix builds a target, but summary.json cannot hold it.
+    @pytest.mark.parametrize("params,message", [
+        ({"variances": [-1.0]}, "gaussian variances must be positive"),
+        ({"mass": MassMatrix.diagonal([2.0])},
+         "Object of type MassMatrix is not JSON serializable"),
+    ], ids=["negative_variance", "mass_matrix"])
+    def test_bad_target_params_rejected_up_front(self, params, message):
+        raw = {"target": {"name": "gaussian", "params": {"dims": 1, **params}},
                "sweep": "dt", "values": [0.3], "fixed": {"L": 4}}
-        with pytest.raises(SpecError, match="target"):
+        with pytest.raises(SpecError, match=f"^target: {message}") as err:
             parse_spec(raw)
+        assert err.value.field == "target"
 
-    def test_bad_observable_rejected(self):
-        with pytest.raises(SpecError, match="observable"):
-            parse_spec({**MINIMAL, "observable": "xyz"})
+    # An Observable object has no JSON form for summary.json, and a worker
+    # process cannot receive its lambdas.
+    @pytest.mark.parametrize("observable,message", [
+        ("xyz", "unknown observable 'xyz'"),
+        (coordinate(0), "cannot interpret observable spec of type Observable"),
+    ], ids=["unknown_name", "observable_object"])
+    def test_bad_observable_rejected(self, observable, message):
+        with pytest.raises(SpecError, match=f"^observable: {message}") as err:
+            parse_spec({**MINIMAL, "observable": observable})
+        assert err.value.field == "observable"
 
     def test_leg_span_resolution_rounds_with_floor_one(self):
         raw = {"target": "gaussian", "dims": 1, "sweep": "leg_span",
@@ -341,10 +355,17 @@ class TestRunExperiment:
         assert len(files[1]) == 7
         assert files[1] == files[2] == files[3]
 
-    def test_summary_spec_block(self, tmp_path):
-        report = run_experiment(tiny_spec(out_dir=str(tmp_path)))
+    # A numpy array in target.params is written as its list.
+    @pytest.mark.parametrize("params,written", [
+        ({}, {}), ({"variances": np.array([4.0])}, {"variances": [4.0]})],
+        ids=["no_params", "numpy_variances"])
+    def test_summary_spec_block(self, tmp_path, params, written):
+        raw = {"target": {"name": "gaussian", "params": {"dims": 1, **params}}, "sweep": "dt",
+               "values": [0.3], "fixed": {"L": 4, "jitter": 0.0}, "replicas": 1,
+               "budget_force_evals": 1000, "burn_in": 5, "seed": 7, "out_dir": str(tmp_path)}
+        report = run_experiment(parse_spec(raw))
         assert json.loads((tmp_path / "summary.json").read_bytes())["spec"] == {
-            "target": "gaussian", "dims": 1, "target_params": {}, "sweep_axis": "dt",
+            "target": "gaussian", "dims": 1, "target_params": written, "sweep_axis": "dt",
             "sweep_values": [0.3], "dt": None, "steps": 4, "leg_span": None,
             "sin_psi": 1.0, "extra_chances": 0, "jitter": 0.0, "replicas": 1,
             "budget_force_evals": 1000, "burn_in": 5, "observable": "x0", "seed": 7,

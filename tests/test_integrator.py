@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -160,9 +158,3 @@ class TestVolumePreservation:
     def test_double_well(self, dwell2d, rng):
         z = PhaseState(rng.standard_normal(2), rng.standard_normal(2))
         assert check_volume_preservation(dwell2d, LegSpec(0.05, 5), z) <= 1e-5
-
-    @pytest.mark.parametrize("step", [0.0, -1e-5, math.nan, math.inf])
-    def test_step_must_be_positive_and_finite(self, gauss1d, step):
-        with pytest.raises(ValueError, match="step must be positive and finite"):
-            check_volume_preservation(gauss1d, LegSpec(0.1, 3), PhaseState([0.8], [-0.2]),
-                                      step=step)

@@ -558,8 +558,12 @@ class TestRunChain:
         assert np.array_equal(a.momenta, b.momenta)
         assert np.array_equal(a.slots, b.slots)
         assert np.array_equal(a.dt_used, b.dt_used)
-        c = run_chain(dwell2d, config, z0, Budget(transitions=300), chain_index=1)
-        assert not np.array_equal(a.positions, c.positions)
+        # No rng is the default stream chain_rng(config.seed, 0); another stream differs.
+        c = run_chain(dwell2d, config, z0, Budget(transitions=300), rng=chain_rng(123, 0))
+        assert all(np.array_equal(getattr(a, f), getattr(c, f))
+                   for f in ("positions", "momenta", "slots", "dt_used"))
+        d = run_chain(dwell2d, config, z0, Budget(transitions=300), rng=chain_rng(123, 1))
+        assert not np.array_equal(a.positions, d.positions)
 
     def test_burn_in_shifts_the_recorded_stream(self, gauss1d):
         config = SamplerConfig(leg=LegSpec(0.5, 3), psi=math.asin(0.9),
@@ -807,7 +811,8 @@ def driver_case(name):
     """``(model, config, z0, hand_rng, driver_kwargs, divergences)`` of one pinned case.
 
     ``hand_rng`` feeds the hand loop; ``driver_kwargs`` gives the driver the
-    same stream, either as its default stream or as an identical copy.
+    same stream, either as its default stream (no ``rng``, so
+    ``chain_rng(config.seed, 0)``) or as an identical copy.
     ``divergences`` lists the non-finite gradients the model has returned.
     """
     divergences = []
@@ -815,8 +820,8 @@ def driver_case(name):
         model = builtin_target("gaussian", 2, variances=[1.0, 4.0])
         config = SamplerConfig(leg=LegSpec(0.5, 4), psi=math.asin(0.6), extra_chances=2,
                                jitter_fraction=0.05, seed=31)
-        return (model, config, PhaseState([0.4, -1.2], [0.7, 0.1]), chain_rng(31, 2),
-                {"chain_index": 2}, divergences)
+        return (model, config, PhaseState([0.4, -1.2], [0.7, 0.1]), chain_rng(31, 0), {},
+                divergences)
     if name == "scripted":
         model = builtin_target("banana", 2, curvature=0.5)
         config = SamplerConfig(leg=LegSpec(0.45, 3), psi=math.asin(0.7), extra_chances=1,

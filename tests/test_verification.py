@@ -97,6 +97,20 @@ def test_battery_of_no_checks_is_rejected(battery, size, bad):
         getattr(verification, battery)(**{size: bad})
 
 
+# The gates' bounds, as README "Verification suites" states them: no caller sets them.
+@pytest.mark.parametrize("battery,size,tolerance", [
+    ("verify_reversibility", "points_per_target", 1e-10),
+    ("verify_volume", "points_per_target", 1e-5),
+    ("verify_main_identity", "triples", 1e-8),
+    ("verify_lahmc_equivalence", "triples", 1e-12),
+    ("verify_palindromic_coupling", "transitions", 1e-12),
+])
+def test_battery_tolerance_is_the_readme_value(battery, size, tolerance):
+    outcome = getattr(verification, battery)(**{size: 1})
+    assert outcome.passed
+    assert outcome.tolerance == tolerance
+
+
 @pytest.mark.parametrize("battery,size,checks,detail", [
     ("verify_reversibility", "points_per_target", 6, ""),
     ("verify_volume", "points_per_target", 6, ""),
