@@ -4,7 +4,7 @@
 Usage (from the repository root, with the change committed)::
 
     python3 scripts/paired_bench.py --out BENCH_topic.json
-    python3 scripts/paired_bench.py --parent v1.0 --out BENCH_topic.json
+    python3 scripts/paired_bench.py --parent HEAD~2 --out BENCH_topic.json
 
 The change side is the checkout ``--change`` (default: this one).  The parent
 side is the git revision ``--parent`` (default ``HEAD~1``) of that checkout's
