@@ -11,7 +11,7 @@ import pytest
 from xchmc import (Budget, LegSpec, MassMatrix, PhaseState, SamplerConfig, ScriptedRng,
                    builtin_target, ess_initial_monotone, extra_chance_step, interval_indicator,
                    log_rho, refresh_momentum, run_chain, series_average, slot_distribution)
-from xchmc.harness import parse_spec, sample_chain
+from xchmc.harness import SpecError, parse_spec, sample_chain
 from xchmc.integrator import verlet_leg
 from xchmc.phase import TargetModel, _real, gradient_fd_error
 from xchmc.sampler import couple_noise, lahmc_from_log_ratios, palindromic_refresh_angle
@@ -94,6 +94,12 @@ class TestRealSites:
         value = log_rho(builtin_target("gaussian", 2, beta=beta), z)
         assert type(value) is float
         assert value == log_rho(builtin_target("gaussian", 2, beta=float(beta)), z)
+
+    def test_float32_position_gives_the_gap_of_its_float(self):
+        x = np.array([0.3, 7.1], dtype=np.float32)  # steps of 1e-5 round differently in float32
+        gap = gradient_fd_error(GAUSS2, x)
+        assert type(gap) is float
+        assert gap == gradient_fd_error(GAUSS2, x.astype(float))
 
     def test_jittered_dt_of_a_float32_step_is_a_float(self):
         config = SamplerConfig(LegSpec(np.float32(0.1), 5), 1.0, jitter_fraction=0.1)
@@ -282,7 +288,42 @@ def _with_target(target: dict) -> dict:
     return raw
 
 
+def _fixed(axis: str, **fixed) -> dict:
+    """SPEC swept along ``axis`` with only ``fixed`` fixed."""
+    return {**SPEC, "sweep": axis, "values": [1], "fixed": fixed}
+
+
+# Each real a spec sets, through harness._NUMBER_RULES: the field its SpecError
+# names -> (the rule's name, a spec that holds the value there, values outside its
+# interval, whether None is a bad value there: an absent dt or leg_span reads as None).
+SPEC_REAL_SITES = {
+    "fixed.dt": ("dt", lambda v: _fixed("K", dt=v, L=4), [0.0, -0.1], False),
+    "fixed.leg_span": ("leg_span", lambda v: _fixed("K", dt=0.2, leg_span=v), [0.0, -1.0],
+                       False),
+    "fixed.sin_psi": ("sin_psi", lambda v: {**SPEC, "fixed": {"L": 4, "sin_psi": v}},
+                      [0.0, -0.5, 1.5], True),
+    "fixed.jitter": ("jitter", lambda v: {**SPEC, "fixed": {"L": 4, "jitter": v}},
+                     [1.0, -0.1], True),
+    "sweep.values[0]": ("dt", lambda v: {**SPEC, "values": [v]}, [0.0, -0.3], True),
+}
+
+
+def _bad_spec_cases():
+    for field, (name, raw, out_of_range, none_is_bad) in SPEC_REAL_SITES.items():
+        for bad in [*BAD_REALS, *out_of_range]:
+            if bad is not None or none_is_bad:
+                yield pytest.param(field, name, raw, bad, id=f"{field}-{bad!r:.20}")
+
+
 class TestSpecReals:
+    @pytest.mark.parametrize("field,name,raw,bad", _bad_spec_cases())
+    def test_bad_value_is_a_spec_error_naming_the_field_and_the_value(self, field, name, raw,
+                                                                      bad):
+        message = rf"^{re.escape(field)}: {name} must (be|lie in) .*, not {re.escape(repr(bad))}$"
+        with pytest.raises(SpecError, match=message) as err:
+            parse_spec(raw(bad))
+        assert err.value.field == field
+
     def test_numpy_dt_sweep_value_and_jitter_are_accepted_as_floats(self):
         spec = parse_spec({**SPEC, "values": [np.float32(0.3)],
                            "fixed": {**SPEC["fixed"], "jitter": np.float32(0.1)}})
