@@ -28,6 +28,11 @@ For a side that is a git checkout, ``src_edited`` records whether its
 as the exported parent).  The script stops before any run when the change
 side's ``src/`` has them, since the runs would then not measure the committed
 tree.
+
+The work runs in a child process that leads a process group of its own, which
+the runs and their sweep workers join.  SIGTERM, SIGINT or SIGHUP to the script
+stops that group and nothing else: the runs end, and the child removes the
+exported parent on its way out.
 """
 
 from __future__ import annotations
@@ -35,10 +40,13 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import os
+import signal
 import statistics
 import subprocess
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,6 +54,7 @@ SIDES = ("parent", "change")
 PAIRS = 10
 FIRST_SEED = 11
 TRACED_RUNS = 3
+STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT, signal.SIGHUP)
 
 
 def load_spread(side: str, checkout: Path):
@@ -191,5 +200,70 @@ def run_pairs(checkouts: dict, commits: dict, out_path: Path) -> None:
               f"same outputs: {out['workloads'][workload]['same_outputs']}", flush=True)
 
 
+def _unwind(signum, frame):
+    """Leave the work through its cleanup, once: later stop signals are ignored."""
+    for s in STOP_SIGNALS:
+        signal.signal(s, signal.SIG_IGN)
+    raise SystemExit(128 + signum)
+
+
+def in_own_group(work) -> int:
+    """The exit code of ``work()``, run in a forked child that leads a new process group.
+
+    Every process the child starts joins that group, which this process
+    created, so a stop signal here is passed on as SIGTERM to exactly that
+    group: the child's ``subprocess.run`` kills the run it waits on, and the
+    child unwinds through its cleanup.  When the child has exited, whatever
+    is left of the group is killed, and a stopped script exits with 128 plus
+    the number of the signal it received.  The stop signals stay blocked from the
+    fork until each side has its handlers, so none is lost in between.
+    """
+    sys.stdout.flush()
+    sys.stderr.flush()
+    signal.pthread_sigmask(signal.SIG_BLOCK, STOP_SIGNALS)
+    pid = os.fork()
+    if pid == 0:
+        os.setpgid(0, 0)
+        for s in STOP_SIGNALS:
+            signal.signal(s, _unwind)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, STOP_SIGNALS)
+        try:
+            code = work()
+        except SystemExit as exc:  # argparse's exits and the stop signals
+            code = exc.code or 0
+        except BaseException:
+            traceback.print_exc()
+            code = 1
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(code)
+
+    try:
+        os.setpgid(pid, pid)  # the child does it too; whichever runs first makes the group
+    except OSError:
+        pass
+    received = []
+
+    def stop(signum, frame):
+        received.append(signum)
+        _signal_group(pid, signal.SIGTERM)
+
+    for s in STOP_SIGNALS:
+        signal.signal(s, stop)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, STOP_SIGNALS)
+    # Wait without reaping, so that the group's id cannot be reused before it is stopped.
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+    _signal_group(pid, signal.SIGKILL)
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    return 128 + received[0] if received else code
+
+
+def _signal_group(pgid: int, sig: int) -> None:
+    try:
+        os.killpg(pgid, sig)
+    except ProcessLookupError:  # no process is left in the group
+        pass
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(in_own_group(main))

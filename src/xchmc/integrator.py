@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from xchmc.phase import (PhaseState, TargetModel, _all_finite, _check_dim, _integer, _real,
-                         _real_array, _unchecked, flip)
+                         _real_array, _state, flip)
 
 __all__ = [
     "LegSpec",
@@ -79,11 +79,14 @@ def verlet_leg(model: TargetModel, spec: LegSpec, z: PhaseState) -> tuple[PhaseS
     drift builds a new array (a gradient may return its argument).  The whole
     leg runs under ``np.errstate(over="ignore", invalid="ignore")``.
     """
-    _check_dim(model, z)
+    if len(z.x) != model.dim:
+        _check_dim(model, z)
     # The full step as a vector: an array-array product costs less than a
-    # float-array one and gives the same floats.  The two half kicks keep the
+    # float-array one and gives the same floats, and ``np.empty`` plus ``fill``
+    # builds it in less time than ``np.full``.  The two half kicks keep the
     # float, which costs less than building a second vector.
-    dt = np.full(z.x.shape, spec.dt)
+    dt = np.empty(z.x.shape)
+    dt.fill(spec.dt)
     half_dt = 0.5 * spec.dt
     steps = spec.steps
     inv_mass = model.mass._inv_mul
@@ -111,7 +114,7 @@ def verlet_leg(model: TargetModel, spec: LegSpec, z: PhaseState) -> tuple[PhaseS
         y = y - (dt if 0 < step < steps else half_dt) * g
     if not (_all_finite(x) and _all_finite(y)):
         raise DivergedLeg(steps, steps + fresh)
-    return _unchecked(PhaseState, x=x, y=y, _gradient=(gradient, g)), steps + fresh
+    return _state(x, y, None, (gradient, g)), steps + fresh
 
 
 def check_reversibility(model: TargetModel, spec: LegSpec, z: PhaseState) -> float:
@@ -130,15 +133,17 @@ def check_volume_preservation(model: TargetModel, spec: LegSpec, z: PhaseState) 
     """|det J - 1| for the leg's Jacobian, estimated by central differences.
 
     The Jacobian of the full phase-space map (x, y) -> I(x, y) is formed column
-    by column with a perturbation of 1e-5 per coordinate.
+    by column with a perturbation of 1e-5 per coordinate, the x and y blocks
+    of each column differenced apart.  The perturbed states are kernel states
+    (``phase._state``): a coordinate of the finite state ``z`` moved by 1e-5
+    stays finite, since near the float maximum the sum rounds back to it.
     """
     step = 1e-5
     d = z.dim
     base = np.concatenate([z.x, z.y])
 
     def advance(w):
-        out, _ = verlet_leg(model, spec, PhaseState(w[:d], w[d:]))
-        return np.concatenate([out.x, out.y])
+        return verlet_leg(model, spec, _state(w[:d], w[d:], None, None))[0]
 
     jac = np.empty((2 * d, 2 * d))
     for j in range(2 * d):
@@ -146,5 +151,7 @@ def check_volume_preservation(model: TargetModel, spec: LegSpec, z: PhaseState) 
         wp[j] += step
         wm = base.copy()
         wm[j] -= step
-        jac[:, j] = (advance(wp) - advance(wm)) / (2.0 * step)
+        plus, minus = advance(wp), advance(wm)
+        jac[:d, j] = (plus.x - minus.x) / (2.0 * step)
+        jac[d:, j] = (plus.y - minus.y) / (2.0 * step)
     return abs(float(np.linalg.det(jac)) - 1.0)

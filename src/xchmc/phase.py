@@ -51,13 +51,29 @@ class PhaseState:
 def _unchecked(cls, **fields):
     """Instance of the frozen dataclass ``cls`` from fields known to be valid.
 
-    Skips ``__post_init__``.  The kernel builds its own states and jittered legs
-    with this from arrays and values it has already checked; every caller
-    outside the kernel goes through the checking constructor.
+    Skips ``__post_init__``.  The kernel builds its slot distributions with
+    this from values it has computed; states come from :func:`_state`.  Every
+    caller outside the kernel goes through the checking constructor.
     """
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
+
+
+def _state(x: np.ndarray, y: np.ndarray, potential, gradient) -> PhaseState:
+    """A state the kernel built from finite float vectors ``x`` and ``y`` of one length.
+
+    The one constructor of kernel states: it skips ``__post_init__`` and writes
+    the instance dict directly, with the carried ``(potential, V(x))`` and
+    ``(gradient, grad V(x))`` pairs or None.
+    """
+    z = object.__new__(PhaseState)
+    d = z.__dict__
+    d["x"] = x
+    d["y"] = y
+    d["_potential"] = potential
+    d["_gradient"] = gradient
+    return z
 
 
 def _integer(name: str, value, minimum: int) -> int:
@@ -149,8 +165,10 @@ def _all_finite(a: np.ndarray) -> bool:
 
 
 def _with_momentum(z: PhaseState, y: np.ndarray) -> PhaseState:
-    """A kernel state at ``z``'s position with momentum ``y``, carrying ``z``'s values."""
-    return _unchecked(PhaseState, x=z.x, y=y, _potential=z._potential, _gradient=z._gradient)
+    """A kernel state (:func:`_state`) at ``z``'s position with the finite momentum
+    ``y``, carrying ``z``'s values: the refresh, the flip and the copy of
+    :func:`_orbit_start`."""
+    return _state(z.x, y, z._potential, z._gradient)
 
 
 def flip(z: PhaseState) -> PhaseState:
@@ -279,33 +297,24 @@ def log_rho(model: TargetModel, z: PhaseState) -> float:
         return _log_rho(model, _orbit_start(model, z))
 
 
-def _hamiltonian(model: TargetModel, y: np.ndarray, v: float) -> float:
-    """Total energy 0.5 y' M^-1 y + v of momentum ``y`` and potential ``v``.
-
-    +inf when either term is not finite.  Unguarded: the caller holds
-    ``np.errstate(over="ignore", invalid="ignore")``.
-    """
-    if not math.isfinite(v):
-        return math.inf
-    total = model.mass._kinetic(y) + v
-    return total if math.isfinite(total) else math.inf
-
-
 def _log_rho(model: TargetModel, z: PhaseState) -> float:
     """:func:`log_rho` of ``z``, a state the kernel built (see :func:`_orbit_start`).
 
-    V is evaluated only when ``z`` does not carry it for ``model.potential``,
-    and ``z`` then keeps it.  Unguarded, like :func:`_hamiltonian`, and
-    without the dimension check.
+    -beta (0.5 y' M^-1 y + V), or -inf when V or the total energy is not
+    finite.  V is evaluated only when ``z`` does not carry it for
+    ``model.potential``, and ``z`` then keeps it.  Without the dimension
+    check, and unguarded: the caller holds ``np.errstate(over="ignore",
+    invalid="ignore")``.
     """
     carried = z._potential
     if carried is None or carried[0] is not model.potential:
         carried = (model.potential, float(model.potential(z.x)))
-        object.__setattr__(z, "_potential", carried)
-    h = _hamiltonian(model, z.y, carried[1])
-    if h == math.inf:
+        z.__dict__["_potential"] = carried
+    v = carried[1]
+    if not math.isfinite(v):
         return -math.inf
-    return -model.beta * h
+    h = model.mass._kinetic(z.y) + v
+    return -model.beta * h if math.isfinite(h) else -math.inf
 
 
 def _orbit_start(model: TargetModel, z: PhaseState) -> PhaseState:
@@ -315,7 +324,8 @@ def _orbit_start(model: TargetModel, z: PhaseState) -> PhaseState:
     it is.  Any other state (a caller's, or a leg end that was never a
     candidate) is left untouched, and a copy of it is returned.
     """
-    _check_dim(model, z)
+    if len(z.x) != model.dim:
+        _check_dim(model, z)
     if z._potential is not None:
         return z
     return _with_momentum(z, z.y)

@@ -184,7 +184,8 @@ def refresh_momentum(model: TargetModel, z: PhaseState, psi: float, rng) -> Phas
     ``dim`` finite real numbers.
     """
     psi = _real("psi", psi, 0.0, _HALF_PI, hi_open=False)
-    _check_dim(model, z)
+    if len(z.x) != model.dim:
+        _check_dim(model, z)
     noise = rng.standard_normal(model.dim)
     if type(noise) is not np.ndarray or noise.dtype is not _FLOAT64 or noise.shape != z.y.shape:
         noise = _real_array("refresh noise", noise, finite=False, length=model.dim)
@@ -255,7 +256,11 @@ def extra_chance_step(model: TargetModel, config: SamplerConfig, z: PhaseState,
     dt = config.leg.dt * (1.0 + jitter)
     if not 0.0 < dt < math.inf:
         raise ValueError(f"jittered step size {dt!r} is not positive and finite")
-    leg = _unchecked(LegSpec, dt=dt, steps=config.leg.steps)
+    # The jittered leg and the outcome are written field by field, unchecked: the
+    # keyword packing of ``_unchecked`` would cost more on every transition.
+    leg = object.__new__(LegSpec)
+    leg.__dict__["dt"] = dt
+    leg.__dict__["steps"] = config.leg.steps
     log_u = math.log(u) if u > 0.0 else -math.inf
     chances = config.extra_chances + 1
     z = _orbit_start(model, z)
@@ -264,8 +269,15 @@ def extra_chance_step(model: TargetModel, config: SamplerConfig, z: PhaseState,
         # Every candidate was rejected, or a leg diverged and the candidates from
         # it on count as density zero: either way all of them count as computed.
         k, state = chances + 1, flip(z)
-    return _unchecked(TransitionOutcome, next_state=state, slot=k,
-                      candidates_computed=min(k, chances), force_evals=evals, u=u, dt=dt)
+    out = object.__new__(TransitionOutcome)
+    fields = out.__dict__
+    fields["next_state"] = state
+    fields["slot"] = k
+    fields["candidates_computed"] = min(k, chances)
+    fields["force_evals"] = evals
+    fields["u"] = u
+    fields["dt"] = dt
+    return out
 
 
 @dataclass(frozen=True)

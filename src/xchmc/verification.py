@@ -10,7 +10,7 @@ import numpy as np
 from xchmc.diagnostics import check_main_identity
 from xchmc.integrator import (DivergedLeg, LegSpec, check_reversibility,
                               check_volume_preservation)
-from xchmc.phase import PhaseState, TargetModel, _integer, _unchecked, builtin_target
+from xchmc.phase import PhaseState, TargetModel, _integer, _state, builtin_target
 from xchmc.rng import ScriptedRng, chain_rng
 from xchmc.sampler import (Budget, SamplerConfig, _forward_log_ratios, couple_noise,
                            lahmc_from_log_ratios, run_chain, run_palindromic_chain,
@@ -73,7 +73,7 @@ def _battery_legs(steps: int) -> list[tuple[TargetModel, LegSpec]]:
 
 def _random_state(rng: np.random.Generator, dim: int) -> PhaseState:
     # Normals drawn from a Generator are finite float vectors of length dim.
-    return _unchecked(PhaseState, x=rng.standard_normal(dim), y=rng.standard_normal(dim))
+    return _state(rng.standard_normal(dim), rng.standard_normal(dim), None, None)
 
 
 def _battery(name: str, results, tolerance: float, required: int = 1,

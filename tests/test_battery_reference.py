@@ -6,17 +6,21 @@ the floats of the memoized recursion and the per-entry numpy loop below, bit
 for bit.  The references add their sums left to right explicitly, because the
 built-in ``sum`` compensates its rounding from Python 3.12 on.
 ``check_main_identity`` carries each potential along its orbit and must equal
-the same computation through public calls.
+the same computation through public calls.  ``check_volume_preservation``
+builds its perturbed states unchecked and differences the x and y blocks
+apart; it must give the floats, and raise the divergences, of the form that
+checked each perturbed state and concatenated each leg's end.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from xchmc import (LegSpec, PhaseState, flip, lahmc_from_log_ratios, log_rho, sigma_sequence,
+from xchmc import (DivergedLeg, LegSpec, PhaseState, builtin_target, check_volume_preservation,
+                   flip, lahmc_from_log_ratios, log_rho, sigma_sequence,
                    slot_distribution, verlet_leg)
 from xchmc.diagnostics import check_main_identity
 
@@ -165,3 +169,71 @@ def test_main_identity_evaluates_each_position_once(counting, gauss2d, k, potent
         assert _same_bits([got], [_public_discrepancy(gauss2d, leg, z, k)])
         nonzero += got > 0.0
     assert nonzero > 0  # the comparison is not only of zeros
+
+
+def reference_check_volume_preservation(model, spec, z):
+    """|det J - 1| with a checked ``PhaseState`` per perturbed point and a
+    concatenation of each leg's end, as before kernel states were unchecked."""
+    step = 1e-5
+    d = z.dim
+    base = np.concatenate([z.x, z.y])
+
+    def advance(w):
+        out, _ = verlet_leg(model, spec, PhaseState(w[:d], w[d:]))
+        return np.concatenate([out.x, out.y])
+
+    jac = np.empty((2 * d, 2 * d))
+    for j in range(2 * d):
+        wp = base.copy()
+        wp[j] += step
+        wm = base.copy()
+        wm[j] -= step
+        jac[:, j] = (advance(wp) - advance(wm)) / (2.0 * step)
+    return abs(float(np.linalg.det(jac)) - 1.0)
+
+
+# The targets and legs of the batteries.
+_VOLUME_TARGETS = [
+    (builtin_target("gaussian", 2, variances=[1.0, 4.0]), LegSpec(dt=0.2, steps=5)),
+    (builtin_target("double_well", 2), LegSpec(dt=0.12, steps=5)),
+    (builtin_target("banana", 2, curvature=0.5), LegSpec(dt=0.15, steps=5)),
+]
+_coordinates = st.one_of(
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1.7e308, -1.7e308, 5e-324, -5e-324, 2.2e-308, 0.0]),
+)
+_states = st.lists(_coordinates, min_size=4, max_size=4)
+
+
+def _volume_outcome(check, model, leg, z):
+    """The check's result as bits, or the step index and count of its divergence."""
+    try:
+        return np.float64(check(model, leg, z)).tobytes()
+    except DivergedLeg as err:
+        return err.step_index, err.force_evals
+
+
+@pytest.mark.parametrize("target", range(len(_VOLUME_TARGETS)))
+@given(_states)
+@example([1.7e308, -1.7e308, 1.7e308, -1.7e308])  # the first leg diverges
+@example([5e-324, -5e-324, 2.2e-308, 0.0])  # subnormals, and every leg completes
+def test_volume_check_matches_the_checked_form(target, w):
+    model, leg = _VOLUME_TARGETS[target]
+    z = PhaseState(w[:2], w[2:])
+    with np.errstate(over="ignore", invalid="ignore"):  # det of a huge Jacobian overflows
+        want = _volume_outcome(reference_check_volume_preservation, model, leg, z)
+        got = _volume_outcome(check_volume_preservation, model, leg, z)
+    assert got == want
+
+
+@pytest.mark.parametrize("target", range(len(_VOLUME_TARGETS)))
+def test_volume_examples_cover_both_outcomes(target):
+    # The examples above reach a divergence and a complete Jacobian on every target.
+    model, leg = _VOLUME_TARGETS[target]
+    diverged = _volume_outcome(check_volume_preservation, model, leg,
+                               PhaseState([1.7e308, -1.7e308], [1.7e308, -1.7e308]))
+    assert isinstance(diverged, tuple)
+    complete = _volume_outcome(check_volume_preservation, model, leg,
+                               PhaseState([5e-324, -5e-324], [2.2e-308, 0.0]))
+    assert isinstance(complete, bytes)

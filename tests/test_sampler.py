@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from test_kernel_reference import walled
 import xchmc.sampler as sampler
+import xchmc.verification as verification
 from xchmc import (Budget, DivergedLeg, LegSpec, MassMatrix, PhaseState, SamplerConfig,
                    ScriptedRng, TargetModel, builtin_target, chain_rng, couple_noise,
                    ess_initial_monotone, extra_chance_step, flip, lahmc_from_log_ratios, lahmc_probabilities, log_rho,
@@ -449,6 +450,62 @@ class TestTracedCallGraph:
         assert rec.candidates.tolist() == [out.candidates_computed for out in recorded]
         if rec.burn_in == 0:
             assert calls["gradient"] == rec.total_force_evals
+
+
+class TestTracedBatteries:
+    """The battery call graph that the benchmark counts the batteries' force evaluations
+    through: the untraced ``verify_batteries`` run takes them from one traced batch."""
+
+    @pytest.mark.parametrize("suite", ["verify_reversibility", "verify_volume",
+                                       "verify_main_identity", "verify_lahmc_equivalence",
+                                       "verify_palindromic_coupling"])
+    def test_every_leg_goes_through_the_module_names(self, monkeypatch, tmp_path, suite):
+        # A battery whose legs bypassed the rebound names would count no force evaluation.
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        tracer = importlib.import_module("tracing").Tracer(tmp_path)
+        try:
+            tracer.install()
+            mark = tracer.mark()
+            assert getattr(verification, suite)(1).passed
+        finally:
+            assert tracer.uninstall() == []
+        tracer.layer_metrics(mark, workers=1)
+        accounting = tracer.last_accounting
+        assert accounting["gradient_calls"] == accounting["leg_force_evals"] > 0
+
+
+class TestKernelStatesAreNotRechecked:
+    """The kernel builds its states unchecked: the checking constructor runs only for
+    the caller's start state, counted as ``perfbench/tracing.py`` counts it."""
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        count = [0]
+        check = PhaseState.__post_init__
+
+        def counted(state):
+            count[0] += 1
+            check(state)
+        monkeypatch.setattr(PhaseState, "__post_init__", counted)
+        return count
+
+    @pytest.mark.parametrize("chain,budget", [
+        ("run_chain", Budget(transitions=200, burn_in=20)),
+        ("run_palindromic_chain", 200),
+    ])
+    def test_chain_checks_only_its_start(self, validations, dwell2d, chain, budget):
+        z0 = PhaseState([0.0, 0.0], [0.5, 0.5])
+        assert validations == [1]
+        config = SamplerConfig(leg=LegSpec(0.5, 5), psi=math.asin(0.4), extra_chances=3,
+                               jitter_fraction=0.05)  # refreshes, flips and diverged legs
+        rec = getattr(sampler, chain)(dwell2d, config, z0, budget, rng=chain_rng(5))
+        assert rec.transitions == 200 and 0 < np.sum(rec.slots == 5) < 200
+        assert validations == [1]
+
+    def test_volume_battery_checks_no_state(self, validations):
+        assert verification.verify_volume(points_per_target=1).passed
+        assert validations == [0]
 
 
 class TestDensityGuard:
