@@ -216,7 +216,8 @@ def in_own_group(work) -> int:
     child unwinds through its cleanup.  When the child has exited, whatever
     is left of the group is killed, and a stopped script exits with 128 plus
     the number of the signal it received.  The stop signals stay blocked from the
-    fork until each side has its handlers, so none is lost in between.
+    fork until each side has its handlers, so none is lost in between.  It
+    forks, so it is called before any thread starts.
     """
     sys.stdout.flush()
     sys.stderr.flush()
@@ -227,6 +228,8 @@ def in_own_group(work) -> int:
         for s in STOP_SIGNALS:
             signal.signal(s, _unwind)
         signal.pthread_sigmask(signal.SIG_UNBLOCK, STOP_SIGNALS)
+        # The child never returns into the caller's frames: every way out of
+        # ``work`` ends in ``os._exit``.
         try:
             code = work()
         except SystemExit as exc:  # argparse's exits and the stop signals

@@ -19,10 +19,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from xchmc import (DivergedLeg, LegSpec, PhaseState, builtin_target, check_volume_preservation,
-                   flip, lahmc_from_log_ratios, log_rho, sigma_sequence,
+from xchmc import (DivergedLeg, LegSpec, PhaseState, check_volume_preservation, flip,
+                   lahmc_from_log_ratios, log_rho, sigma_sequence,
                    slot_distribution, verlet_leg)
 from xchmc.diagnostics import check_main_identity
+from xchmc.verification import _battery_legs
 
 
 def _left_to_right(values) -> float:
@@ -192,12 +193,7 @@ def reference_check_volume_preservation(model, spec, z):
     return abs(float(np.linalg.det(jac)) - 1.0)
 
 
-# The targets and legs of the batteries.
-_VOLUME_TARGETS = [
-    (builtin_target("gaussian", 2, variances=[1.0, 4.0]), LegSpec(dt=0.2, steps=5)),
-    (builtin_target("double_well", 2), LegSpec(dt=0.12, steps=5)),
-    (builtin_target("banana", 2, curvature=0.5), LegSpec(dt=0.15, steps=5)),
-]
+_VOLUME_TARGETS = _battery_legs(5)  # the volume battery's targets and legs
 _coordinates = st.one_of(
     st.floats(min_value=-3.0, max_value=3.0),
     st.floats(allow_nan=False, allow_infinity=False),
