@@ -22,6 +22,15 @@ A seed's outputs count as the same (``same_outputs``) when both sides' runs
 give the same sorted digests over all of their batches.
 Three traced pairs, alternating in the same way so that host drift does not
 show up as a per-layer difference, then give each side's per-layer medians.
+``force_evals_per_s_log_ratio`` holds the mean over the pairs of
+log(change / parent) of ``force_evals_per_s``, with its 95 % t interval: the
+size of effect the run could resolve.
+
+``work_counts`` holds each side's exact work counts, from one untimed batch at
+seed ``first_seed``, run in a fresh interpreter in that side's checkout with
+the sweep's replicas in-process (see :func:`count_batch`): the Python calls
+into the ``xchmc`` package and the C calls made from them, per transition and
+per force evaluation, with the interpreter and numpy versions they hold for.
 
 For a side that is a git checkout, ``src_edited`` records whether its
 ``src/`` has uncommitted changes (None for a side that is not a checkout, such
@@ -40,7 +49,9 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import os
+import platform
 import signal
 import statistics
 import subprocess
@@ -54,6 +65,7 @@ SIDES = ("parent", "change")
 PAIRS = 10
 FIRST_SEED = 11
 TRACED_RUNS = 3
+T975 = 2.2621571628  # Student's t 0.975 quantile at PAIRS - 1 = 9 degrees of freedom
 STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT, signal.SIGHUP)
 
 
@@ -111,11 +123,95 @@ def batch_digests(checkout: Path, workload: str, seed: int) -> list[str]:
     return sorted({b["digest"] for b in record["batches"]})
 
 
-def compare(runs: list[dict], metric: str, better: str, bound: float, spread) -> dict:
-    """Gain rule and regression share of one end-to-end metric over the pairs."""
+def paired(runs: list[dict], metric: str) -> dict:
+    """``{seed: {side: value}}`` of one metric."""
     pairs = {}
     for r in runs:
         pairs.setdefault(r["seed"], {})[r["side"]] = r["metrics"][metric]
+    return pairs
+
+
+def log_ratio_interval(runs: list[dict], metric: str) -> dict:
+    """Mean over the pairs of log(change / parent) of ``metric``, and its 95 % t interval."""
+    logs = [math.log(p["change"] / p["parent"]) for p in paired(runs, metric).values()]
+    if len(logs) != PAIRS:
+        raise ValueError(f"{len(logs)} pairs; T975 holds for {PAIRS}")
+    mean = statistics.fmean(logs)
+    half = T975 * statistics.stdev(logs) / math.sqrt(len(logs))
+    return {"mean": mean, "ci95": [mean - half, mean + half]}
+
+
+def count_batch(checkout: Path, workload: str, seed: int) -> dict:
+    """Exact work counts of one untimed batch of ``workload`` at ``seed`` in ``checkout``.
+
+    It imports the package from ``checkout/src`` and the workloads from
+    ``checkout/perfbench``, so it runs in an interpreter of its own
+    (:func:`work_counts`).  The workload's pool has one worker, so a sweep runs
+    its replicas in this process.  ``sys.setprofile`` counts, in the code of the
+    ``xchmc`` package: the Python calls, the C calls made from it, the
+    transitions (calls of ``extra_chance_step``) and the force evaluations
+    (calls of a function named ``gradient``, as the built-in targets' gradients
+    are).  A frame is the package's when its module is, so the methods that
+    ``dataclasses`` generates for the package's classes count too.  A batch that
+    reports its force evaluations must report the counted ones.
+    """
+    checkout = checkout.resolve()
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
+    import numpy
+    workloads = importlib.import_module("workloads")
+    package = Path(sys.modules["xchmc"].__file__).resolve().parent
+    if package != checkout / "src" / "xchmc":
+        raise RuntimeError(f"imported xchmc from {package}, not from {checkout / 'src'}")
+    workloads._workers = lambda: 1
+    n = {"python_calls": 0, "c_calls": 0, "transitions": 0, "force_evals": 0}
+
+    def profile(frame, event, arg):
+        if event == "call" or event == "c_call":
+            if frame.f_globals.get("__name__", "").partition(".")[0] != "xchmc":
+                return
+            if event == "c_call":
+                n["c_calls"] += 1
+                return
+            n["python_calls"] += 1
+            name = frame.f_code.co_name
+            if name == "extra_chance_step":
+                n["transitions"] += 1
+            elif name == "gradient":
+                n["force_evals"] += 1
+
+    wl = workloads.WORKLOADS[workload]
+    with tempfile.TemporaryDirectory(prefix="xchmc-count-") as work:
+        ctx = wl.setup(seed, Path(work))
+        sys.setprofile(profile)
+        try:
+            batch = wl.batch(ctx, 0)
+        finally:
+            sys.setprofile(None)
+    if batch.force_evals and batch.force_evals != n["force_evals"]:
+        raise RuntimeError(f"{workload}: the batch reports {batch.force_evals} force "
+                           f"evaluations, the profile counted {n['force_evals']}")
+    for calls in ("python_calls", "c_calls"):
+        for per, total in (("transition", "transitions"), ("force_eval", "force_evals")):
+            n[f"{calls}_per_{per}"] = n[calls] / n[total] if n[total] else None
+    return {**n, "python": platform.python_version(), "numpy": numpy.__version__}
+
+
+def work_counts(checkout: Path, workload: str, seed: int) -> dict:
+    """:func:`count_batch` in a fresh interpreter, which writes no bytecode."""
+    code = ("import json, sys; from pathlib import Path; import paired_bench; "
+            "print(json.dumps(paired_bench.count_batch(Path(sys.argv[1]), sys.argv[2], "
+            "int(sys.argv[3]))))")
+    proc = subprocess.run([sys.executable, "-B", "-c", code, str(checkout), workload, str(seed)],
+                          cwd=checkout, env={**os.environ, "PYTHONPATH": str(ROOT / "scripts")},
+                          capture_output=True, text=True, timeout=1800)
+    if proc.returncode:
+        raise RuntimeError(f"counting {workload} in {checkout} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def compare(runs: list[dict], metric: str, better: str, bound: float, spread) -> dict:
+    """Gain rule and regression share of one end-to-end metric over the pairs."""
+    pairs = paired(runs, metric)
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(sign * (p["change"] - p["parent"]) > 0 for p in pairs.values())
     parent = spread([p["parent"] for p in pairs.values()])
@@ -188,8 +284,11 @@ def run_pairs(checkouts: dict, commits: dict, out_path: Path) -> None:
                          "layers": {k: statistics.median(metric_values(r)[k] for r in t[side])
                                     for k in t[side][0]["result"]["metrics"]}}
                   for side in SIDES}
+        counts = {side: work_counts(path, workload, FIRST_SEED)
+                  for side, path in checkouts.items()}
         out["workloads"][workload] = {
-            "runs": runs, "summary": summary, "traced": traced,
+            "runs": runs, "summary": summary, "traced": traced, "work_counts": counts,
+            "force_evals_per_s_log_ratio": log_ratio_interval(runs, "force_evals_per_s"),
             "all_correct": all(r["correct"] for r in runs),
             "same_outputs": all(len(d) == 1 for d in digests.values())}
         out_path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
@@ -197,7 +296,9 @@ def run_pairs(checkouts: dict, commits: dict, out_path: Path) -> None:
         print(f"{workload}: force_evals_per_s parent {fe['parent']['median']:.0f} "
               f"change {fe['change']['median']:.0f}, wins {fe['wins']}/{PAIRS}, "
               f"gain rule met: {fe['gain_rule_met']}, "
-              f"same outputs: {out['workloads'][workload]['same_outputs']}", flush=True)
+              f"same outputs: {out['workloads'][workload]['same_outputs']}; Python calls "
+              f"per transition parent {counts['parent']['python_calls_per_transition']} "
+              f"change {counts['change']['python_calls_per_transition']}", flush=True)
 
 
 def _unwind(signum, frame):

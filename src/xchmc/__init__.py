@@ -18,11 +18,11 @@ from xchmc.integrator import (DivergedLeg, LegSpec, check_reversibility,
 from xchmc.phase import MassMatrix, PhaseState, TargetModel, builtin_target, flip, log_rho
 from xchmc.rng import ScriptedRng, chain_rng
 from xchmc.sampler import (Budget, ChainRecord, SamplerConfig, SlotDistribution,
-                           TransitionOutcome, couple_noise, extra_chance_step,
-                           lahmc_from_log_ratios, lahmc_probabilities,
-                           palindromic_refresh_angle, refresh_momentum, run_chain,
-                           run_palindromic_chain, sigma_sequence, slot_distribution)
-from xchmc.verification import (CheckOutcome, VerificationReport, verify)
+                           TransitionOutcome, extra_chance_step, lahmc_from_log_ratios,
+                           lahmc_probabilities, refresh_momentum, run_chain, sigma_sequence,
+                           slot_distribution)
+from xchmc.verification import (CheckOutcome, VerificationReport, couple_noise,
+                                palindromic_refresh_angle, verify)
 
 __version__ = "0.1.0"
 
@@ -36,7 +36,7 @@ __all__ = [
     "ess_initial_monotone", "estimate_average", "extra_chance_step", "flip",
     "interval_indicator", "lahmc_from_log_ratios", "lahmc_probabilities", "load_spec",
     "log_rho", "make_observable", "palindromic_refresh_angle", "parse_spec",
-    "refresh_momentum", "run_chain", "run_experiment", "run_palindromic_chain",
+    "refresh_momentum", "run_chain", "run_experiment",
     "series_average", "sigma_sequence", "slot_distribution", "slot_stats", "squared_radius",
     "verify", "verlet_leg", "write_chain_csv",
 ]

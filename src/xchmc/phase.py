@@ -48,18 +48,6 @@ class PhaseState:
         return {"x": self.x, "y": self.y}
 
 
-def _unchecked(cls, **fields):
-    """Instance of the frozen dataclass ``cls`` from fields known to be valid.
-
-    Skips ``__post_init__``.  The kernel builds its slot distributions with
-    this from values it has computed; states come from :func:`_state`.  Every
-    caller outside the kernel goes through the checking constructor.
-    """
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
 def _state(x: np.ndarray, y: np.ndarray, potential, gradient) -> PhaseState:
     """A state the kernel built from finite float vectors ``x`` and ``y`` of one length.
 
@@ -254,7 +242,8 @@ class MassMatrix:
 
     def _kinetic(self, y: np.ndarray) -> float:
         # ndarray.dot is the BLAS ddot that ``@`` calls, without its dispatch.
-        return 0.5 * float(y.dot(self._inv_mul(y)))
+        # + 0.0 maps -0.0 to +0.0, as ``@`` gives it, and leaves every other float.
+        return 0.5 * float(y.dot(self._inv_mul(y))) + 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MassMatrix(kind={self.kind!r}, dim={self.dim})"

@@ -22,7 +22,7 @@ import numpy as np
 
 from xchmc.integrator import _FLOAT64, DivergedLeg, LegSpec, verlet_leg
 from xchmc.phase import (PhaseState, TargetModel, _check_dim, _integer, _log_rho, _orbit_start,
-                         _real, _real_array, _unchecked, _with_momentum, flip)
+                         _real, _real_array, _with_momentum, flip)
 from xchmc.phase import log_rho  # noqa: F401  (perfbench/tracing.py rebinds sampler.log_rho)
 from xchmc.rng import chain_rng
 
@@ -39,9 +39,6 @@ __all__ = [
     "run_chain",
     "lahmc_probabilities",
     "lahmc_from_log_ratios",
-    "palindromic_refresh_angle",
-    "run_palindromic_chain",
-    "couple_noise",
 ]
 
 _HALF_PI = math.pi / 2.0
@@ -110,7 +107,7 @@ def slot_distribution(log_ratios) -> SlotDistribution:
     s = sigma.tolist()
     # The increments as Python floats: the same subtractions as on the array.
     p = np.array([s[0], *[b - a for a, b in zip(s, s[1:])], 1.0 - s[-1]])
-    return _unchecked(SlotDistribution, sigma=sigma, p=p, log_sigma=log_sigma)
+    return SlotDistribution(sigma=sigma, p=p, log_sigma=log_sigma)
 
 
 def _log_ratio(log_k: float, log_ref: float) -> float:
@@ -256,8 +253,8 @@ def extra_chance_step(model: TargetModel, config: SamplerConfig, z: PhaseState,
     dt = config.leg.dt * (1.0 + jitter)
     if not 0.0 < dt < math.inf:
         raise ValueError(f"jittered step size {dt!r} is not positive and finite")
-    # The jittered leg and the outcome are written field by field, unchecked: the
-    # keyword packing of ``_unchecked`` would cost more on every transition.
+    # The jittered leg and the outcome are written field by field, unchecked: their
+    # constructors would check them again on every transition.
     leg = object.__new__(LegSpec)
     leg.__dict__["dt"] = dt
     leg.__dict__["steps"] = config.leg.steps
@@ -332,9 +329,9 @@ class ChainRecord:
 
 
 def _drive(model: TargetModel, config: SamplerConfig, z0: PhaseState, budget: Budget,
-           rng, psi: float, post_psi: float | None = None) -> ChainRecord:
-    """Run the chain from ``z0``: refresh at angle ``psi``, :func:`extra_chance_step`
-    and, unless ``post_psi`` is None, a second refresh at angle ``post_psi``.
+           rng) -> ChainRecord:
+    """Run the chain from ``z0``: each transition refreshes the momentum at angle
+    ``config.psi`` and applies :func:`extra_chance_step`.
 
     The ``budget.burn_in`` transitions are discarded.  The recorded chain then
     runs until it has made ``budget.transitions`` transitions or, under a
@@ -357,10 +354,8 @@ def _drive(model: TargetModel, config: SamplerConfig, z0: PhaseState, budget: Bu
             ys.frombytes(z.y.tobytes())
             if n >= max_transitions or spent >= max_evals:
                 break
-        out = extra_chance_step(model, config, refresh_momentum(model, z, psi, rng), rng)
+        out = extra_chance_step(model, config, refresh_momentum(model, z, config.psi, rng), rng)
         z = out.next_state
-        if post_psi is not None:
-            z = refresh_momentum(model, z, post_psi, rng)
         if n >= 0:
             slots.append(out.slot)
             candidates.append(out.candidates_computed)
@@ -397,7 +392,7 @@ def run_chain(model: TargetModel, config: SamplerConfig, z0: PhaseState, budget:
     """
     if rng is None:
         rng = chain_rng(config.seed, 0)
-    return _drive(model, config, z0, budget, rng, config.psi)
+    return _drive(model, config, z0, budget, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -477,71 +472,3 @@ def lahmc_probabilities(model: TargetModel, leg: LegSpec, z: PhaseState,
                         extra_chances: int) -> tuple[np.ndarray, np.ndarray]:
     """Look-ahead probabilities for the orbit of ``z``; see :func:`lahmc_from_log_ratios`."""
     return lahmc_from_log_ratios(_forward_log_ratios(model, leg, z, extra_chances))
-
-
-# ---------------------------------------------------------------------------
-# Palindromic (refresh, dynamics, refresh) formulation
-# ---------------------------------------------------------------------------
-
-def palindromic_refresh_angle(psi: float) -> float:
-    """Half-step refresh angle: the PSI in (0, pi/2] with cos(PSI)^2 = cos(psi)."""
-    psi = _real("psi", psi, 0.0, _HALF_PI, hi_open=False)
-    if psi == _HALF_PI:
-        return _HALF_PI
-    return math.acos(math.sqrt(math.cos(psi)))
-
-
-def run_palindromic_chain(model: TargetModel, config: SamplerConfig, z0: PhaseState,
-                          transitions: int, rng=None) -> ChainRecord:
-    """Run the symmetric refresh/dynamics/refresh chain.
-
-    Each transition refreshes with the half-step angle, applies the
-    delayed-rejection map, and refreshes again, consuming per transition:
-    ``dim`` normals, one uniform, one jitter draw, ``dim`` normals.  Shares
-    every invariant with :func:`run_chain`; the two chains visit identically
-    distributed position marginals.
-    """
-    budget = Budget(transitions=transitions)
-    if rng is None:
-        rng = chain_rng(config.seed, 0)
-    half = palindromic_refresh_angle(config.psi)
-    return _drive(model, config, z0, budget, rng, half, half)
-
-
-def couple_noise(psi: float, initial_momentum, pre_refresh_noise, post_refresh_noise
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Map a palindromic chain's noise realization onto the single-refresh chain.
-
-    Given the palindromic chain's initial momentum and its two refresh-noise
-    streams (``pre_refresh_noise[n]`` before, ``post_refresh_noise[n]`` after
-    the dynamics of transition n), returns ``(y0, zeta_stream)`` such that the
-    single-refresh chain started from the same position with momentum ``y0``,
-    refresh noise ``zeta_stream`` and the same acceptance draws (no jitter)
-    visits exactly the same positions.  The construction is the orthogonal
-    rotation
-
-        y0     = cos(psi - PSI) Y0 - sin(psi - PSI) pre_1
-        zeta_1 = sin(psi - PSI) Y0 + cos(psi - PSI) pre_1
-        zeta_(n+1) = (cos(PSI) sin(PSI) post_n + sin(PSI) pre_(n+1)) / sin(psi)
-
-    with PSI the half-step angle, so i.i.d. N(0, M) streams map to i.i.d.
-    N(0, M) streams.
-    """
-    psi = _real("psi", psi, 0.0, _HALF_PI, hi_open=False)
-    half = palindromic_refresh_angle(psi)
-    y_init = _real_array("initial_momentum", initial_momentum)
-    pre = _real_array("pre_refresh_noise", pre_refresh_noise, 2, length=y_init.size)
-    post = _real_array("post_refresh_noise", post_refresh_noise, 2, empty=True, length=y_init.size)
-    n_trans = pre.shape[0]
-    if post.shape[0] < n_trans - 1:
-        raise ValueError("post-refresh noise stream too short")
-    delta = psi - half
-    c_delta, s_delta = (1.0, 0.0) if delta == 0.0 else (math.cos(delta), math.sin(delta))
-    ch, sh = _cos_sin(half)
-    _, s_psi = _cos_sin(psi)
-    y0 = c_delta * y_init - s_delta * pre[0]
-    zetas = np.empty_like(pre)
-    zetas[0] = s_delta * y_init + c_delta * pre[0]
-    for n in range(1, n_trans):
-        zetas[n] = (ch * sh * post[n - 1] + sh * pre[n]) / s_psi
-    return y0, zetas

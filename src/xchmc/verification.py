@@ -7,14 +7,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import xchmc.sampler as sampler
 from xchmc.diagnostics import check_main_identity
 from xchmc.integrator import (DivergedLeg, LegSpec, check_reversibility,
                               check_volume_preservation)
-from xchmc.phase import PhaseState, TargetModel, _integer, _state, builtin_target
+from xchmc.phase import (PhaseState, TargetModel, _integer, _real, _real_array, _state,
+                         builtin_target)
 from xchmc.rng import ScriptedRng, chain_rng
-from xchmc.sampler import (Budget, SamplerConfig, _forward_log_ratios, couple_noise,
-                           lahmc_from_log_ratios, run_chain, run_palindromic_chain,
-                           slot_distribution)
+from xchmc.sampler import (_HALF_PI, Budget, SamplerConfig, _cos_sin, _forward_log_ratios,
+                           lahmc_from_log_ratios, run_chain, slot_distribution)
 # perfbench/tracing.py rebinds these two names in this module.
 from xchmc.sampler import lahmc_probabilities, sigma_sequence  # noqa: F401
 
@@ -28,6 +29,8 @@ __all__ = [
     "verify_main_identity",
     "verify_lahmc_equivalence",
     "verify_palindromic_coupling",
+    "palindromic_refresh_angle",
+    "couple_noise",
 ]
 
 DEFAULT_SEED = 20240817
@@ -172,6 +175,77 @@ def verify_lahmc_equivalence(triples: int = 1000, seed: int = DEFAULT_SEED) -> C
     return _battery("lahmc_equivalence", gaps(), 1e-12)
 
 
+# ---------------------------------------------------------------------------
+# Palindromic (refresh, dynamics, refresh) formulation
+# ---------------------------------------------------------------------------
+
+def palindromic_refresh_angle(psi: float) -> float:
+    """Half-step refresh angle: the PSI in (0, pi/2] with cos(PSI)^2 = cos(psi)."""
+    psi = _real("psi", psi, 0.0, _HALF_PI, hi_open=False)
+    if psi == _HALF_PI:
+        return _HALF_PI
+    return math.acos(math.sqrt(math.cos(psi)))
+
+
+def couple_noise(psi: float, initial_momentum, pre_refresh_noise, post_refresh_noise
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Map a palindromic chain's noise realization onto the single-refresh chain.
+
+    Given the palindromic chain's initial momentum and its two refresh-noise
+    streams (``pre_refresh_noise[n]`` before, ``post_refresh_noise[n]`` after
+    the dynamics of transition n), returns ``(y0, zeta_stream)`` such that the
+    single-refresh chain started from the same position with momentum ``y0``,
+    refresh noise ``zeta_stream`` and the same acceptance draws (no jitter)
+    visits exactly the same positions.  The construction is the orthogonal
+    rotation
+
+        y0     = cos(psi - PSI) Y0 - sin(psi - PSI) pre_1
+        zeta_1 = sin(psi - PSI) Y0 + cos(psi - PSI) pre_1
+        zeta_(n+1) = (cos(PSI) sin(PSI) post_n + sin(PSI) pre_(n+1)) / sin(psi)
+
+    with PSI the half-step angle, so i.i.d. N(0, M) streams map to i.i.d.
+    N(0, M) streams.
+    """
+    psi = _real("psi", psi, 0.0, _HALF_PI, hi_open=False)
+    half = palindromic_refresh_angle(psi)
+    y_init = _real_array("initial_momentum", initial_momentum)
+    pre = _real_array("pre_refresh_noise", pre_refresh_noise, 2, length=y_init.size)
+    post = _real_array("post_refresh_noise", post_refresh_noise, 2, empty=True, length=y_init.size)
+    n_trans = pre.shape[0]
+    if post.shape[0] < n_trans - 1:
+        raise ValueError("post-refresh noise stream too short")
+    delta = psi - half
+    c_delta, s_delta = (1.0, 0.0) if delta == 0.0 else (math.cos(delta), math.sin(delta))
+    ch, sh = _cos_sin(half)
+    _, s_psi = _cos_sin(psi)
+    y0 = c_delta * y_init - s_delta * pre[0]
+    zetas = np.empty_like(pre)
+    zetas[0] = s_delta * y_init + c_delta * pre[0]
+    for n in range(1, n_trans):
+        zetas[n] = (ch * sh * post[n - 1] + sh * pre[n]) / s_psi
+    return y0, zetas
+
+
+def _palindromic_positions(model: TargetModel, config: SamplerConfig, z: PhaseState,
+                           transitions: int, rng) -> np.ndarray:
+    """Positions of the symmetric chain from ``z``, one row per state.
+
+    Each transition refreshes at the half-step angle, applies the
+    delayed-rejection map and refreshes again, consuming ``dim`` normals, one
+    uniform, one jitter draw and ``dim`` normals.  The calls go through the
+    ``sampler`` module, as :func:`~xchmc.sampler.run_chain`'s do, so a name
+    rebound there (the benchmark's tracer rebinds both) sees them.
+    """
+    half = palindromic_refresh_angle(config.psi)
+    positions = [z.x]
+    for _ in range(transitions):
+        z = sampler.refresh_momentum(model, z, half, rng)
+        z = sampler.extra_chance_step(model, config, z, rng).next_state
+        z = sampler.refresh_momentum(model, z, half, rng)
+        positions.append(z.x)
+    return np.array(positions)
+
+
 def _coupling_discrepancy(sin_psi: float, transitions: int, seed: int) -> float:
     """Worst position gap between the palindromic chain and its coupled twin."""
     model = builtin_target("gaussian", 2, variances=[1.0, 2.0])
@@ -189,17 +263,17 @@ def _coupling_discrepancy(sin_psi: float, transitions: int, seed: int) -> float:
     normals_palindromic = np.empty((transitions, 2 * d))
     normals_palindromic[:, :d] = pre
     normals_palindromic[:, d:] = post
-    palindromic = run_palindromic_chain(
+    palindromic = _palindromic_positions(
         model, config, PhaseState(x0, y_init), transitions,
-        rng=ScriptedRng(normals=normals_palindromic.ravel(), uniforms=us))
+        ScriptedRng(normals=normals_palindromic.ravel(), uniforms=us))
 
     y0, zetas = couple_noise(psi, y_init, pre, post)
     single = run_chain(
         model, config, PhaseState(x0, y0), Budget(transitions=transitions),
         rng=ScriptedRng(normals=zetas.ravel(), uniforms=us))
 
-    gaps = np.abs(palindromic.positions - single.positions)
-    scale = max(1.0, float(np.abs(palindromic.positions).max()))
+    gaps = np.abs(palindromic - single.positions)
+    scale = max(1.0, float(np.abs(palindromic).max()))
     return float(gaps.max()) / scale
 
 

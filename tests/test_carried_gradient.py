@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 
 import xchmc.sampler as sampler
+import xchmc.verification as verification
 from test_kernel_reference import CASES, case_model
 from xchmc import (Budget, DivergedLeg, LegSpec, MassMatrix, PhaseState, SamplerConfig,
                    ScriptedRng, TargetModel, builtin_target, chain_rng, extra_chance_step,
-                   flip, refresh_momentum, run_chain, run_palindromic_chain, verlet_leg)
-from xchmc.phase import _unchecked
+                   flip, refresh_momentum, run_chain, verlet_leg)
+from xchmc.phase import _state
 
 
 def uncarried(saved):
@@ -28,8 +29,7 @@ def uncarried(saved):
     gradient; ``saved[0]`` counts the starts that carried this model's gradient."""
     def leg(model, spec, z):
         saved[0] += z._gradient is not None and z._gradient[0] is model.gradient
-        return verlet_leg(model, spec, _unchecked(PhaseState, x=z.x, y=z.y,
-                                                  _potential=z._potential))
+        return verlet_leg(model, spec, _state(z.x, z.y, z._potential, None))
     return leg
 
 
@@ -55,7 +55,7 @@ class TestSameChainWithoutTheCarry:
 
 
 class TestForceEvaluationCounts:
-    @pytest.mark.parametrize("chain", ["run_chain", "run_palindromic_chain"])
+    @pytest.mark.parametrize("chain", ["run_chain", "_palindromic_positions"])
     @pytest.mark.parametrize("name,dims,dt,params", [
         ("gaussian", 10, 0.4, {"variances": np.linspace(0.5, 6.0, 10)}),
         ("double_well", 2, 0.5, {}),  # about 30 % of the legs diverge
@@ -74,18 +74,27 @@ class TestForceEvaluationCounts:
             legs["integrated"] += 1
             return out
 
+        steps = []
+
+        def counted_step(*args):
+            steps.append(extra_chance_step(*args))
+            return steps[-1]
+
         monkeypatch.setattr(sampler, "verlet_leg", counted_leg)
+        monkeypatch.setattr(sampler, "extra_chance_step", counted_step)
         config = SamplerConfig(leg=LegSpec(dt, 5), psi=math.asin(0.4), extra_chances=3,
                                jitter_fraction=0.05)
         z0 = PhaseState(np.zeros(dims), np.full(dims, 0.5))
         if chain == "run_chain":
             rec = run_chain(model, config, z0, Budget(transitions=300), rng=chain_rng(5, 0))
-        else:
-            rec = run_palindromic_chain(model, config, z0, 300, rng=chain_rng(5, 0))
-        assert rec.total_force_evals == calls["gradient"]
+            assert rec.total_force_evals == calls["gradient"]
+        else:  # the coupling battery's loop: half refresh, step, half refresh
+            verification._palindromic_positions(model, config, z0, 300, chain_rng(5, 0))
+        assert len(steps) == 300
+        assert sum(out.force_evals for out in steps) == calls["gradient"]
         assert (legs["diverged"] > 0) == (name == "double_well")
         if not legs["diverged"]:
-            assert rec.slots[0] <= 4  # the first transition accepts: only z0 pays the +1
+            assert steps[0].slot <= 4  # the first transition accepts: only z0 pays the +1
             assert calls["gradient"] == 5 * legs["integrated"] + 1
 
     def test_leading_flips_pay_for_the_start_once(self, counting):

@@ -11,7 +11,7 @@ as the old one, on any float: huge, tiny, subnormal, infinite or NaN.
 import math
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from xchmc import MassMatrix, builtin_target, slot_distribution, squared_radius
@@ -64,6 +64,9 @@ def mass_and_momentum(draw):
 
 class TestDotForMatmul:
     @given(mass_and_momentum())
+    # The dense product of dimension 1 maps -0.0 to +0.0, and ``.dot`` of length-1
+    # vectors returns the bare product -0.0 x +0.0 = -0.0, where ``@`` gives +0.0.
+    @example((MassMatrix.dense([[1.0]]), np.array([-0.0])))
     def test_kinetic_energy(self, case):
         mass, y = case
         with np.errstate(all="ignore"):

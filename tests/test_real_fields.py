@@ -14,7 +14,8 @@ from xchmc import (Budget, LegSpec, MassMatrix, PhaseState, SamplerConfig, Scrip
 from xchmc.harness import SpecError, parse_spec, sample_chain
 from xchmc.integrator import verlet_leg
 from xchmc.phase import TargetModel, _real, gradient_fd_error
-from xchmc.sampler import couple_noise, lahmc_from_log_ratios, palindromic_refresh_angle
+from xchmc.sampler import lahmc_from_log_ratios
+from xchmc.verification import couple_noise, palindromic_refresh_angle
 
 GAUSS2 = builtin_target("gaussian", 2)
 LEG = LegSpec(0.1, 3)

@@ -19,9 +19,8 @@ import xchmc.verification as verification
 from xchmc import (Budget, DivergedLeg, LegSpec, MassMatrix, PhaseState, SamplerConfig,
                    ScriptedRng, TargetModel, builtin_target, chain_rng, couple_noise,
                    ess_initial_monotone, extra_chance_step, flip, lahmc_from_log_ratios, lahmc_probabilities, log_rho,
-                   palindromic_refresh_angle, refresh_momentum, run_chain,
-                   run_palindromic_chain, sigma_sequence, slot_distribution,
-                   slot_stats, verlet_leg)
+                   palindromic_refresh_angle, refresh_momentum, run_chain, sigma_sequence,
+                   slot_distribution, slot_stats, verlet_leg)
 from xchmc.sampler import _acceptance_and_jitter_draws
 
 log_ratio_vectors = st.lists(
@@ -398,7 +397,7 @@ class TestTracedCallGraph:
     @pytest.mark.parametrize("chain,budget", [
         ("run_chain", Budget(transitions=200, burn_in=20)),
         ("run_chain", Budget(force_evals=3000)),
-        ("run_palindromic_chain", 200),
+        ("_palindromic_positions", 200),
     ])
     def test_steps_refreshes_and_legs_go_through_the_module_names(self, counting, monkeypatch,
                                                                   dwell2d, chain, budget):
@@ -430,11 +429,18 @@ class TestTracedCallGraph:
         monkeypatch.setattr(sampler, "refresh_momentum", counted_refresh)
         config = SamplerConfig(leg=LegSpec(0.5, 5), psi=math.asin(0.4), extra_chances=3,
                                jitter_fraction=0.05)  # about 30 % of the legs diverge
-        rec = getattr(sampler, chain)(model, config, PhaseState([0.0, 0.0], [0.5, 0.5]), budget,
-                                      rng=chain_rng(5))
+        z0 = PhaseState([0.0, 0.0], [0.5, 0.5])
+        if chain == "run_chain":
+            rec = run_chain(model, config, z0, budget, rng=chain_rng(5))
+            burn_in, transitions = rec.burn_in, rec.transitions
+        else:  # the coupling battery's loop: half refresh, step, half refresh
+            rec = None
+            positions = verification._palindromic_positions(model, config, z0, budget,
+                                                            chain_rng(5))
+            burn_in, transitions = 0, budget
         # One step per transition, burn-in included, between its refreshes.
-        assert len(steps) == rec.burn_in + rec.transitions > rec.burn_in
-        per_transition = ["refresh", "step"] + ["refresh"] * (chain == "run_palindromic_chain")
+        assert len(steps) == burn_in + transitions > burn_in
+        per_transition = ["refresh", "step"] + ["refresh"] * (rec is None)
         assert events == per_transition * len(steps)
         flip_slot = config.extra_chances + 2
         for out, run in steps:
@@ -444,6 +450,9 @@ class TestTracedCallGraph:
                 assert len(run) == out.candidates_computed
         assert any(True in run for _, run in steps)
         assert calls["gradient"] == sum(out.force_evals for out, _ in steps)
+        if rec is None:  # a refresh keeps the position of the step's end
+            assert np.array_equal(positions[1:], [out.next_state.x for out, _ in steps])
+            return
         recorded = [out for out, _ in steps[rec.burn_in:]]
         assert rec.total_force_evals == sum(out.force_evals for out in recorded)
         assert rec.slots.tolist() == [out.slot for out in recorded]
@@ -490,17 +499,33 @@ class TestKernelStatesAreNotRechecked:
         monkeypatch.setattr(PhaseState, "__post_init__", counted)
         return count
 
-    @pytest.mark.parametrize("chain,budget", [
-        ("run_chain", Budget(transitions=200, burn_in=20)),
-        ("run_palindromic_chain", 200),
-    ])
-    def test_chain_checks_only_its_start(self, validations, dwell2d, chain, budget):
+    # Refreshes, flips and diverged legs.
+    CONFIG = SamplerConfig(leg=LegSpec(0.5, 5), psi=math.asin(0.4), extra_chances=3,
+                           jitter_fraction=0.05)
+
+    def test_chain_checks_only_its_start(self, validations, dwell2d):
         z0 = PhaseState([0.0, 0.0], [0.5, 0.5])
         assert validations == [1]
-        config = SamplerConfig(leg=LegSpec(0.5, 5), psi=math.asin(0.4), extra_chances=3,
-                               jitter_fraction=0.05)  # refreshes, flips and diverged legs
-        rec = getattr(sampler, chain)(dwell2d, config, z0, budget, rng=chain_rng(5))
+        rec = run_chain(dwell2d, self.CONFIG, z0, Budget(transitions=200, burn_in=20),
+                        rng=chain_rng(5))
         assert rec.transitions == 200 and 0 < np.sum(rec.slots == 5) < 200
+        assert validations == [1]
+
+    def test_palindromic_battery_chain_checks_only_its_start(self, validations, monkeypatch,
+                                                            dwell2d):
+        slots = []
+
+        def step(*args):
+            out = extra_chance_step(*args)
+            slots.append(out.slot)
+            return out
+
+        monkeypatch.setattr(sampler, "extra_chance_step", step)
+        z0 = PhaseState([0.0, 0.0], [0.5, 0.5])
+        assert validations == [1]
+        positions = verification._palindromic_positions(dwell2d, self.CONFIG, z0, 200,
+                                                        chain_rng(5))
+        assert positions.shape == (201, 2) and 0 < slots.count(5) < 200
         assert validations == [1]
 
     def test_volume_battery_checks_no_state(self, validations):
@@ -747,14 +772,14 @@ class TestPalindromicChain:
     def test_consumes_two_refreshes_per_transition(self, gauss2d):
         config = SamplerConfig(leg=LegSpec(0.2, 2), psi=math.asin(0.5))
         normals = np.random.default_rng(4).standard_normal(3 * 4)  # 2d per transition
-        rec = run_palindromic_chain(gauss2d, config, PhaseState([0.1, 0.2], [0.3, 0.4]),
-                                    3, rng=ScriptedRng(normals=normals,
-                                                       uniforms=[0.5, 0.5, 0.5]))
-        assert rec.transitions == 3
+        positions = verification._palindromic_positions(
+            gauss2d, config, PhaseState([0.1, 0.2], [0.3, 0.4]), 3,
+            ScriptedRng(normals=normals, uniforms=[0.5, 0.5, 0.5]))
+        assert positions.shape == (4, 2)
         with pytest.raises(IndexError):
-            run_palindromic_chain(gauss2d, config, PhaseState([0.1, 0.2], [0.3, 0.4]),
-                                  3, rng=ScriptedRng(normals=normals[:-1],
-                                                     uniforms=[0.5, 0.5, 0.5]))
+            verification._palindromic_positions(
+                gauss2d, config, PhaseState([0.1, 0.2], [0.3, 0.4]), 3,
+                ScriptedRng(normals=normals[:-1], uniforms=[0.5, 0.5, 0.5]))
 
 
 class TestCoupleNoise:
@@ -792,7 +817,15 @@ class TestCoupleNoise:
         assert np.array_equal(zetas, pre)
 
     @pytest.mark.parametrize("sin_psi", [0.25, 0.5, 1.0])
-    def test_coupled_chains_share_positions(self, gauss2d, sin_psi):
+    def test_coupled_chains_share_positions(self, monkeypatch, gauss2d, sin_psi):
+        slots = []
+
+        def step(*args):
+            out = extra_chance_step(*args)
+            slots.append(out.slot)
+            return out
+
+        monkeypatch.setattr(sampler, "extra_chance_step", step)
         psi = math.asin(sin_psi)
         config = SamplerConfig(leg=LegSpec(0.25, 5), psi=psi, extra_chances=2)
         rng = np.random.default_rng(42)
@@ -806,20 +839,20 @@ class TestCoupleNoise:
         interleaved = np.empty((n, 2 * d))
         interleaved[:, :d] = pre
         interleaved[:, d:] = post
-        palindromic = run_palindromic_chain(
+        palindromic = verification._palindromic_positions(
             gauss2d, config, PhaseState(x0, y_init), n,
-            rng=ScriptedRng(normals=interleaved.ravel(), uniforms=us))
+            ScriptedRng(normals=interleaved.ravel(), uniforms=us))
 
         y0, zetas = couple_noise(psi, y_init, pre, post)
         single = run_chain(gauss2d, config, PhaseState(x0, y0),
                            Budget(transitions=n),
                            rng=ScriptedRng(normals=zetas.ravel(), uniforms=us))
 
-        scale = max(1.0, float(np.abs(palindromic.positions).max()))
-        gap = float(np.abs(palindromic.positions - single.positions).max()) / scale
+        scale = max(1.0, float(np.abs(palindromic).max()))
+        gap = float(np.abs(palindromic - single.positions).max()) / scale
         assert gap <= 1e-12
         # outcome metadata agrees as well: same u draws, same candidates
-        assert np.array_equal(palindromic.slots, single.slots)
+        assert slots[:n] == slots[n:] == single.slots.tolist()
 
     def test_double_well_coupling_short_horizon(self, dwell1d):
         psi = math.asin(0.5)
@@ -832,14 +865,14 @@ class TestCoupleNoise:
         x0 = rng.standard_normal(1)
         y_init = rng.standard_normal(1)
         interleaved = np.column_stack([pre, post])
-        palindromic = run_palindromic_chain(
+        palindromic = verification._palindromic_positions(
             dwell1d, config, PhaseState(x0, y_init), n,
-            rng=ScriptedRng(normals=interleaved.ravel(), uniforms=us))
+            ScriptedRng(normals=interleaved.ravel(), uniforms=us))
         y0, zetas = couple_noise(psi, y_init, pre, post)
         single = run_chain(dwell1d, config, PhaseState(x0, y0),
                            Budget(transitions=n),
                            rng=ScriptedRng(normals=zetas.ravel(), uniforms=us))
-        assert np.allclose(palindromic.positions, single.positions, atol=1e-10)
+        assert np.allclose(palindromic, single.positions, atol=1e-10)
 
 
 class TestSlotStatsIntegration:
@@ -921,18 +954,6 @@ def hand_run_chain(model, config, z0, rng, force_evals, burn_in):
     return states, outcomes
 
 
-def hand_palindromic_chain(model, config, z0, rng, transitions):
-    """``run_palindromic_chain``, written out: half refresh, step, half refresh."""
-    half = palindromic_refresh_angle(config.psi)
-    states, outcomes, z = [z0], [], z0
-    for _ in range(transitions):
-        out = extra_chance_step(model, config, refresh_momentum(model, z, half, rng), rng)
-        z = refresh_momentum(model, out.next_state, half, rng)
-        states.append(z)
-        outcomes.append(out)
-    return states, outcomes
-
-
 def assert_record_is(rec, states, outcomes, extra_chances, burn_in):
     expected = {
         "positions": np.array([z.x for z in states]),
@@ -965,29 +986,14 @@ class TestDriverAgainstHandLoop:
             assert seen > 0 and len(divergences) == 2 * seen
             assert 0 < (rec.slots == config.extra_chances + 2).mean() < 1
 
-    @pytest.mark.parametrize("case", ["seeded", "scripted", "diverging"])
-    def test_palindromic_chain_is_the_hand_loop(self, case):
-        model, config, z0, hand_rng, kwargs, divergences = driver_case(case)
-        rec = run_palindromic_chain(model, config, z0, 40, **kwargs)
-        seen = len(divergences)
-        states, outcomes = hand_palindromic_chain(model, config, z0, hand_rng, 40)
-        assert_record_is(rec, states, outcomes, config.extra_chances, 0)
-        if case == "diverging":
-            assert seen > 0 and len(divergences) == 2 * seen
-
-    def test_palindromic_transition_count_is_checked(self, gauss1d):
+    def test_start_dimension_is_checked_before_any_draw(self, gauss2d):
         config = SamplerConfig(leg=LegSpec(0.1, 2), psi=1.0)
-        for bad in (-1, 2.5):
-            with pytest.raises(ValueError, match="transitions must be a non-negative integer"):
-                run_palindromic_chain(gauss1d, config, PhaseState([0.0], [1.0]), bad)
-
-    @pytest.mark.parametrize("chain", ["run_chain", "run_palindromic_chain"])
-    def test_start_dimension_is_checked_before_any_draw(self, gauss2d, chain):
-        config = SamplerConfig(leg=LegSpec(0.1, 2), psi=1.0)
-        budget = Budget(transitions=0) if chain == "run_chain" else 0
+        z0 = PhaseState([0.0], [1.0])
         with pytest.raises(ValueError, match="dimension"):
-            getattr(sampler, chain)(gauss2d, config, PhaseState([0.0], [1.0]), budget,
-                                    rng=ScriptedRng())
+            run_chain(gauss2d, config, z0, Budget(transitions=0), rng=ScriptedRng())
+        # The coupling battery's loop: its first refresh checks before it draws.
+        with pytest.raises(ValueError, match="dimension"):
+            verification._palindromic_positions(gauss2d, config, z0, 1, ScriptedRng())
 
 
 def record_arrays(rec):
@@ -1044,13 +1050,6 @@ class TestChainRecordLayout:
         self._assert_layout(rec, 2)
         assert np.all((rec.slots >= 1) & (rec.slots <= 3))
         assert np.all(rec.dt_used > 0.0)
-
-    def test_palindromic_record_has_the_same_layout(self, gauss2d):
-        config = SamplerConfig(leg=LegSpec(0.2, 2), psi=math.asin(0.5), extra_chances=2)
-        for transitions in (0, 25):
-            rec = run_palindromic_chain(gauss2d, config, PhaseState([0.1, 0.2], [0.3, 0.4]),
-                                        transitions)
-            self._assert_layout(rec, 2)
 
     def test_each_call_records_into_its_own_buffers(self, gauss2d):
         first = self._chain(gauss2d, 30, seed=1)
