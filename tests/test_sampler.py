@@ -28,6 +28,20 @@ log_ratio_vectors = st.lists(
     min_size=1, max_size=8)
 
 
+@pytest.fixture
+def step_slots(monkeypatch):
+    """The slot of every ``extra_chance_step`` called through the ``sampler`` module."""
+    slots = []
+
+    def step(*args):
+        out = extra_chance_step(*args)
+        slots.append(out.slot)
+        return out
+
+    monkeypatch.setattr(sampler, "extra_chance_step", step)
+    return slots
+
+
 def free_model(dim=1):
     return TargetModel(dim=dim, potential=lambda x: 0.0,
                        gradient=lambda x: np.zeros_like(x))
@@ -511,21 +525,13 @@ class TestKernelStatesAreNotRechecked:
         assert rec.transitions == 200 and 0 < np.sum(rec.slots == 5) < 200
         assert validations == [1]
 
-    def test_palindromic_battery_chain_checks_only_its_start(self, validations, monkeypatch,
+    def test_palindromic_battery_chain_checks_only_its_start(self, validations, step_slots,
                                                             dwell2d):
-        slots = []
-
-        def step(*args):
-            out = extra_chance_step(*args)
-            slots.append(out.slot)
-            return out
-
-        monkeypatch.setattr(sampler, "extra_chance_step", step)
         z0 = PhaseState([0.0, 0.0], [0.5, 0.5])
         assert validations == [1]
         positions = verification._palindromic_positions(dwell2d, self.CONFIG, z0, 200,
                                                         chain_rng(5))
-        assert positions.shape == (201, 2) and 0 < slots.count(5) < 200
+        assert positions.shape == (201, 2) and 0 < step_slots.count(5) < 200
         assert validations == [1]
 
     def test_volume_battery_checks_no_state(self, validations):
@@ -817,15 +823,7 @@ class TestCoupleNoise:
         assert np.array_equal(zetas, pre)
 
     @pytest.mark.parametrize("sin_psi", [0.25, 0.5, 1.0])
-    def test_coupled_chains_share_positions(self, monkeypatch, gauss2d, sin_psi):
-        slots = []
-
-        def step(*args):
-            out = extra_chance_step(*args)
-            slots.append(out.slot)
-            return out
-
-        monkeypatch.setattr(sampler, "extra_chance_step", step)
+    def test_coupled_chains_share_positions(self, step_slots, gauss2d, sin_psi):
         psi = math.asin(sin_psi)
         config = SamplerConfig(leg=LegSpec(0.25, 5), psi=psi, extra_chances=2)
         rng = np.random.default_rng(42)
@@ -852,7 +850,7 @@ class TestCoupleNoise:
         gap = float(np.abs(palindromic - single.positions).max()) / scale
         assert gap <= 1e-12
         # outcome metadata agrees as well: same u draws, same candidates
-        assert slots[:n] == slots[n:] == single.slots.tolist()
+        assert step_slots[:n] == step_slots[n:] == single.slots.tolist()
 
     def test_double_well_coupling_short_horizon(self, dwell1d):
         psi = math.asin(0.5)
