@@ -952,6 +952,18 @@ def hand_run_chain(model, config, z0, rng, force_evals, burn_in):
     return states, outcomes
 
 
+def hand_palindromic_chain(model, config, z0, rng, transitions):
+    """The coupling battery's loop, written out: half refresh, step, half refresh."""
+    half = palindromic_refresh_angle(config.psi)
+    states, outcomes, z = [z0], [], z0
+    for _ in range(transitions):
+        out = extra_chance_step(model, config, refresh_momentum(model, z, half, rng), rng)
+        z = refresh_momentum(model, out.next_state, half, rng)
+        states.append(z)
+        outcomes.append(out)
+    return states, outcomes
+
+
 def assert_record_is(rec, states, outcomes, extra_chances, burn_in):
     expected = {
         "positions": np.array([z.x for z in states]),
@@ -983,6 +995,18 @@ class TestDriverAgainstHandLoop:
         if case == "diverging":
             assert seen > 0 and len(divergences) == 2 * seen
             assert 0 < (rec.slots == config.extra_chances + 2).mean() < 1
+
+    @pytest.mark.parametrize("case", ["seeded", "scripted", "diverging"])
+    def test_palindromic_chain_is_the_hand_loop(self, step_slots, case):
+        model, config, z0, hand_rng, kwargs, divergences = driver_case(case)
+        rng = kwargs.get("rng", chain_rng(config.seed, 0))
+        positions = verification._palindromic_positions(model, config, z0, 40, rng)
+        seen = len(divergences)
+        states, outcomes = hand_palindromic_chain(model, config, z0, hand_rng, 40)
+        assert np.array_equal(positions, [z.x for z in states])
+        assert step_slots == [out.slot for out in outcomes]
+        if case == "diverging":
+            assert seen > 0 and len(divergences) == 2 * seen
 
     def test_start_dimension_is_checked_before_any_draw(self, gauss2d):
         config = SamplerConfig(leg=LegSpec(0.1, 2), psi=1.0)
