@@ -209,7 +209,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except Exception as exc:  # pragma: no cover - unexpected failures
+    except Exception as exc:
         print(f"unexpected failure: {exc!r}", file=sys.stderr)
         return EXIT_RUNTIME
 

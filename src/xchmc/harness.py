@@ -221,8 +221,12 @@ def parse_spec(raw: dict) -> ExperimentSpec:
         json.dumps(_json_safe(spec.target_params))
     except (TypeError, ValueError) as exc:
         raise SpecError("target", str(exc)) from None
-    for value in spec.sweep_values:
-        _config_for(spec, value)
+    for i, value in enumerate(spec.sweep_values):
+        try:
+            _config_for(spec, value)
+        except OverflowError:  # round(inf): no step count
+            field_name = f"sweep.values[{i}]" if axis in ("dt", "leg_span") else "fixed.leg_span"
+            raise SpecError(field_name, "leg_span / dt exceeds the float range") from None
     return spec
 
 

@@ -164,18 +164,13 @@ def flip(z: PhaseState) -> PhaseState:
     return _with_momentum(z, -z.y)
 
 
-def _same(v: np.ndarray) -> np.ndarray:
-    return v
-
-
 class MassMatrix:
     """Symmetric positive-definite mass matrix in identity, diagonal, or dense form.
 
-    Supplies the two products the sampler needs: ``M^-1 v`` (drifts and
+    Supplies the two products the kernel calls: ``M^-1 v`` (drifts and
     kinetic energy) and ``M^1/2 v`` (drawing momenta distributed as N(0, M)
-    from standard normals); ``_mul`` (``M v``) serves checks of the two.  The
-    identity form is dimension-free (``dim`` is None); diagonal and dense
-    forms fix ``dim``.
+    from standard normals).  The identity form is dimension-free (``dim`` is
+    None); diagonal and dense forms fix ``dim``.
 
     The public products check their argument.  The kernel calls the unchecked
     ``_inv_mul``/``_sqrt_mul``/``_kinetic`` on float vectors it has already
@@ -197,20 +192,19 @@ class MassMatrix:
             except np.linalg.LinAlgError as exc:
                 raise ValueError("dense mass matrix is not positive definite") from exc
             self.kind, self.dim = "dense", m.shape[0]
-            # M v, M^-1 v and M^1/2 v (triangular factor) as matrix products.
-            self._mul = m.__matmul__
+            # M^-1 v and M^1/2 v (triangular factor) as matrix products.
             self._inv_mul = np.linalg.inv(m).__matmul__
             self._sqrt_mul = chol.__matmul__
         elif diag is not None:
             d = _real_array("diagonal mass entries", diag, positive=True)
             self.kind, self.dim = "diagonal", d.size
-            # d * v, v / d and sqrt(d) * v.
-            self._mul = d.__mul__
+            # v / d and sqrt(d) * v.
             self._inv_mul = d.__rtruediv__
             self._sqrt_mul = np.sqrt(d).__mul__
         else:
             self.kind, self.dim = "identity", None
-            self._mul = self._inv_mul = self._sqrt_mul = _same
+            # np.asarray returns a float64 array as it is: the product is v itself.
+            self._inv_mul = self._sqrt_mul = np.asarray
 
     @classmethod
     def identity(cls) -> "MassMatrix":

@@ -328,20 +328,30 @@ class ChainRecord:
         return int(self.force_evals.sum())
 
 
-def _drive(model: TargetModel, config: SamplerConfig, z0: PhaseState, budget: Budget,
-           rng) -> ChainRecord:
-    """Run the chain from ``z0``: each transition refreshes the momentum at angle
+def run_chain(model: TargetModel, config: SamplerConfig, z0: PhaseState, budget: Budget,
+              rng=None) -> ChainRecord:
+    """Run one chain from ``z0``: each transition refreshes the momentum at angle
     ``config.psi`` and applies :func:`extra_chance_step`.
+
+    With no explicit ``rng`` the stream is ``chain_rng(config.seed, 0)``,
+    making records bit-identical across runs with the same seed and
+    configuration.
 
     The ``budget.burn_in`` transitions are discarded.  The recorded chain then
     runs until it has made ``budget.transitions`` transitions or, under a
     force-evaluation budget, until the evaluations spent meet or exceed it.
+    Each integrated leg costs ``config.leg.steps`` gradient evaluations, and a
+    diverged one its partial count.  The first leg from ``z0`` costs one
+    more, since a caller's state carries no gradient; a flip back to ``z0``
+    carries the gradient that leg evaluated.
 
     Each recorded state and outcome is appended to flat ``array`` buffers, new
     for every call, and the record's arrays are views of exactly the rows
     written: a recorded transition costs its ``2 d + 4`` numbers and no
     per-transition object.
     """
+    if rng is None:
+        rng = chain_rng(config.seed, 0)
     _check_dim(model, z0)
     max_transitions = math.inf if budget.transitions is None else budget.transitions
     max_evals = math.inf if budget.force_evals is None else budget.force_evals
@@ -375,24 +385,6 @@ def _drive(model: TargetModel, config: SamplerConfig, z0: PhaseState, budget: Bu
         extra_chances=config.extra_chances,
         burn_in=budget.burn_in,
     )
-
-
-def run_chain(model: TargetModel, config: SamplerConfig, z0: PhaseState, budget: Budget,
-              rng=None) -> ChainRecord:
-    """Run one chain: alternate momentum refresh and the delayed-rejection map.
-
-    With no explicit ``rng`` the stream is ``chain_rng(config.seed, 0)``,
-    making records bit-identical across runs with the same seed and
-    configuration.
-
-    Each integrated leg costs ``config.leg.steps`` gradient evaluations, and a
-    diverged one its partial count.  The first leg from ``z0`` costs one
-    more, since a caller's state carries no gradient; a flip back to ``z0``
-    carries the gradient that leg evaluated.
-    """
-    if rng is None:
-        rng = chain_rng(config.seed, 0)
-    return _drive(model, config, z0, budget, rng)
 
 
 # ---------------------------------------------------------------------------

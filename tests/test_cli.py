@@ -169,6 +169,14 @@ class TestVerify:
     def test_unknown_suite_is_usage_error(self):
         assert main(["verify", "--suite", "nonsense"]) == 1
 
+    def test_unexpected_failure_exits_three(self, capsys, monkeypatch):
+        def broken(suite):
+            raise RuntimeError("broken suite")
+
+        monkeypatch.setattr("xchmc.cli.verify", broken)
+        assert main(["verify", "--suite", "reversibility"]) == 3
+        assert capsys.readouterr().err == "unexpected failure: RuntimeError('broken suite')\n"
+
 
 class TestEss:
     def test_reports_ess_of_column(self, tmp_path, capsys):
@@ -287,7 +295,10 @@ class TestSweepAndPlotData:
         (json.dumps({"target": "gaussian"}).encode(), "dims: is required"),
         (b"{not json", "spec: not valid JSON (Expecting property name"),
         (b"\xff\xfe{}", "can't decode byte 0xff in position 0"),
-    ], ids=["no_dims", "not_json", "not_utf8"])
+        (json.dumps({"target": "gaussian", "dims": 1, "sweep": "dt", "values": [1e-10],
+                     "fixed": {"leg_span": 1e308}}).encode(),
+         "sweep.values[0]: leg_span / dt exceeds the float range"),
+    ], ids=["no_dims", "not_json", "not_utf8", "overflowing_step_count"])
     def test_invalid_spec_is_usage_error(self, tmp_path, capsys, text, reason):
         path = tmp_path / "bad.json"
         path.write_bytes(text)

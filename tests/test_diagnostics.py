@@ -102,6 +102,16 @@ class TestMainIdentity:
         assert check_main_identity(free, LegSpec(0.2, 3), z, 2) == 0.0
 
     @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_both_densities_zero_is_no_discrepancy(self, k):
+        # V = +inf everywhere: the legs stay finite, and rho is zero at both ends.
+        nowhere = TargetModel(dim=1, potential=lambda x: math.inf,
+                              gradient=lambda x: np.zeros_like(x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert check_main_identity(nowhere, LegSpec(0.2, 3), PhaseState([0.2], [0.5]),
+                                       k) == 0.0
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
     def test_gaussian_battery(self, gauss2d, k):
         rng = np.random.default_rng(100 + k)
         for _ in range(50):

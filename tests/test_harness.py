@@ -163,6 +163,20 @@ class TestParseSpec:
         with pytest.raises(SpecError, match=r"sweep.values\[1\]"):
             parse_spec(raw)
 
+    # leg_span / dt = inf has no step count: the swept value, or the fixed span, is named.
+    @pytest.mark.parametrize("axis,values,fixed,field", [
+        ("dt", [1.0, 1e-10], {"leg_span": 1e308}, "sweep.values[1]"),
+        ("leg_span", [1.0, 1e308], {"dt": 1e-10}, "sweep.values[1]"),
+        ("sin_psi", [0.5], {"dt": 1e-10, "leg_span": 1e308}, "fixed.leg_span"),
+    ], ids=["dt", "leg_span", "sin_psi"])
+    def test_overflowing_step_count_names_the_field(self, axis, values, fixed, field):
+        raw = {"target": "gaussian", "dims": 1, "sweep": axis, "values": values,
+               "fixed": fixed}
+        with pytest.raises(SpecError) as err:
+            parse_spec(raw)
+        assert err.value.field == field
+        assert str(err.value) == f"{field}: leg_span / dt exceeds the float range"
+
     def test_dt_sweep_requires_leg_geometry(self):
         with pytest.raises(SpecError, match="leg_span"):
             parse_spec({"target": "gaussian", "dims": 1, "sweep": "dt",

@@ -16,7 +16,7 @@ import numpy as np
 
 from xchmc import Budget, LegSpec, PhaseState, SamplerConfig, builtin_target, chain_rng, run_chain
 
-CEILING = 32.843  # Python calls into the package per transition
+CEILING = 24.5845  # Python calls into the package per transition
 TRANSITIONS = 2000
 VARIANCES = (0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0)  # the gauss10_chain target
 
